@@ -40,10 +40,6 @@ let ranged_float ~what ~lo ~hi =
 
 let chunk_conv = ranged_int ~what:"chunk size" ~lo:1 ~hi:16_777_216
 
-let port_conv = ranged_int ~what:"port" ~lo:0 ~hi:65535
-
-let domains_conv = ranged_int ~what:"domains" ~lo:1 ~hi:64
-
 let chunk_arg =
   Arg.(
     value & opt chunk_conv 8192
@@ -493,6 +489,70 @@ let ingest_cmd =
       const run $ data $ class_column_arg $ policy_arg $ group_size $ out)
 
 (* ------------------------------------------------------------------ *)
+(* Listener flags shared by serve and shard                             *)
+(* ------------------------------------------------------------------ *)
+
+let host_arg =
+  Arg.(
+    value
+    & opt string "127.0.0.1"
+    & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind.")
+
+let port_arg ~doc =
+  Arg.(
+    value
+    & opt (ranged_int ~what:"port" ~lo:0 ~hi:65535) 8080
+    & info [ "port"; "p" ] ~docv:"PORT" ~doc)
+
+let domains_arg ~doc =
+  let default =
+    match Sys.getenv_opt "PNRULE_DOMAINS" with
+    | Some raw -> (
+      match Pn_util.Pool.domains_of_env raw with Ok d -> d | Error _ -> 1)
+    | None -> min 4 (Domain.recommended_domain_count ())
+  in
+  Arg.(
+    value
+    & opt (ranged_int ~what:"domains" ~lo:1 ~hi:64) default
+    & info [ "domains" ] ~docv:"N" ~doc)
+
+let max_body_arg =
+  Arg.(
+    value
+    & opt (ranged_int ~what:"max body" ~lo:1 ~hi:4096) 64
+    & info [ "max-body" ] ~docv:"MIB"
+        ~doc:"Request body size limit in MiB; larger bodies get a 413.")
+
+let max_rows_arg =
+  Arg.(
+    value
+    & opt (ranged_int ~what:"max rows" ~lo:1 ~hi:1_000_000_000) 1_000_000
+    & info [ "max-rows" ] ~docv:"ROWS"
+        ~doc:"Rows-per-request limit; longer feeds get a 413.")
+
+let idle_timeout_arg =
+  Arg.(
+    value
+    & opt (ranged_float ~what:"idle timeout" ~lo:0.001 ~hi:86_400.0) 5.0
+    & info [ "idle-timeout" ] ~docv:"SECONDS"
+        ~doc:"Close keep-alive connections idle longer than this.")
+
+let deadline_arg =
+  Arg.(
+    value
+    & opt (ranged_float ~what:"deadline" ~lo:0.0 ~hi:86_400.0) 0.0
+    & info [ "deadline" ] ~docv:"SECONDS"
+        ~doc:
+          "Per-request wall-clock budget; a predict request that overruns it \
+           is answered 408. 0 (the default) disables the deadline.")
+
+let queue_limit_arg ~doc =
+  Arg.(
+    value
+    & opt (ranged_int ~what:"queue limit" ~lo:1 ~hi:1_000_000) 256
+    & info [ "queue-limit" ] ~docv:"N" ~doc)
+
+(* ------------------------------------------------------------------ *)
 (* serve                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -602,60 +662,14 @@ let serve_cmd =
              rollout via $(b,POST /admin/rollout) and one-command rollback \
              via $(b,POST /admin/rollback).")
   in
-  let host =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind.")
-  in
   let port =
-    Arg.(
-      value & opt port_conv 8080
-      & info [ "port"; "p" ] ~docv:"PORT"
-          ~doc:"TCP port to listen on; 0 picks an ephemeral port.")
+    port_arg ~doc:"TCP port to listen on; 0 picks an ephemeral port."
   in
   let domains =
-    let default =
-      match Sys.getenv_opt "PNRULE_DOMAINS" with
-      | Some raw -> (
-        match Pn_util.Pool.domains_of_env raw with Ok d -> d | Error _ -> 1)
-      | None -> min 4 (Domain.recommended_domain_count ())
-    in
-    Arg.(
-      value & opt domains_conv default
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains serving requests in parallel (default: \
-             $(b,PNRULE_DOMAINS) when set, else min(4, recommended)).")
-  in
-  let max_body =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"max body" ~lo:1 ~hi:4096) 64
-      & info [ "max-body" ] ~docv:"MIB"
-          ~doc:"Request body size limit in MiB; larger bodies get a 413.")
-  in
-  let max_rows =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"max rows" ~lo:1 ~hi:1_000_000_000) 1_000_000
-      & info [ "max-rows" ] ~docv:"ROWS"
-          ~doc:"Rows-per-request limit; longer feeds get a 413.")
-  in
-  let idle =
-    Arg.(
-      value & opt float 5.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Close keep-alive connections idle longer than this.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (ranged_float ~what:"deadline" ~lo:0.0 ~hi:86_400.0) 0.0
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-request wall-clock budget; a predict request that overruns \
-             it is answered 408. 0 (the default) disables the deadline.")
+    domains_arg
+      ~doc:
+        "Worker domains serving requests in parallel (default: \
+         $(b,PNRULE_DOMAINS) when set, else min(4, recommended))."
   in
   let backlog =
     Arg.(
@@ -665,15 +679,11 @@ let serve_cmd =
           ~doc:"Kernel listen(2) backlog of the accepting socket.")
   in
   let queue_limit =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"queue limit" ~lo:1 ~hi:1_000_000) 256
-      & info [ "queue-limit" ] ~docv:"N"
-          ~doc:
-            "Admission limit: once in-flight requests plus \
-             accepted-but-unserved connections reach this, new connections \
-             are refused with 429 and a Retry-After header instead of \
-             queueing behind the worker pool.")
+    queue_limit_arg
+      ~doc:
+        "Admission limit: once in-flight requests plus accepted-but-unserved \
+         connections reach this, new connections are refused with 429 and a \
+         Retry-After header instead of queueing behind the worker pool."
   in
   let adapt =
     Arg.(
@@ -735,9 +745,9 @@ let serve_cmd =
           hot-reloads the model; SIGTERM drains gracefully. Load shedding: \
           beyond $(b,--queue-limit) the daemon answers 429 + Retry-After.")
     Term.(
-      const run $ verbose_arg $ model_file $ registry $ host $ port $ domains
-      $ policy_arg $ chunk_arg $ max_body $ max_rows $ idle $ deadline
-      $ backlog $ queue_limit $ adapt $ window $ drift_threshold $ reservoir)
+      const run $ verbose_arg $ model_file $ registry $ host_arg $ port
+      $ domains $ policy_arg $ chunk_arg $ max_body_arg $ max_rows_arg
+      $ idle_timeout_arg $ deadline_arg $ backlog $ queue_limit $ adapt $ window $ drift_threshold $ reservoir)
 
 (* ------------------------------------------------------------------ *)
 (* shard                                                                *)
@@ -840,18 +850,11 @@ let shard_cmd =
              shard. Required: the sharded tier exists to roll generations \
              across a fleet.")
   in
-  let host =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Address the router binds.")
-  in
   let port =
-    Arg.(
-      value & opt port_conv 8080
-      & info [ "port"; "p" ] ~docv:"PORT"
-          ~doc:"Router TCP port; 0 picks an ephemeral port. Backends bind \
-                ephemeral loopback ports of their own.")
+    port_arg
+      ~doc:
+        "Router TCP port; 0 picks an ephemeral port. Backends bind \
+         ephemeral loopback ports of their own."
   in
   let backends =
     Arg.(
@@ -861,53 +864,16 @@ let shard_cmd =
           ~doc:"Backend shard processes to spawn and supervise.")
   in
   let domains =
-    let default =
-      match Sys.getenv_opt "PNRULE_DOMAINS" with
-      | Some raw -> (
-        match Pn_util.Pool.domains_of_env raw with Ok d -> d | Error _ -> 1)
-      | None -> min 4 (Domain.recommended_domain_count ())
-    in
-    Arg.(
-      value & opt domains_conv default
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains per backend shard (the router itself uses \
-                $(b,min(4, backends+1)) domains for proxying).")
-  in
-  let max_body =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"max body" ~lo:1 ~hi:4096) 64
-      & info [ "max-body" ] ~docv:"MIB"
-          ~doc:"Request body size limit in MiB; larger bodies get a 413.")
-  in
-  let max_rows =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"max rows" ~lo:1 ~hi:1_000_000_000) 1_000_000
-      & info [ "max-rows" ] ~docv:"ROWS"
-          ~doc:"Rows-per-request limit passed to every backend.")
-  in
-  let idle =
-    Arg.(
-      value & opt float 5.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Close keep-alive client connections idle longer than this.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (ranged_float ~what:"deadline" ~lo:0.0 ~hi:86_400.0) 0.0
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-request wall-clock budget passed to every backend.")
+    domains_arg
+      ~doc:
+        "Worker domains per backend shard (the router itself uses \
+         $(b,min(4, backends+1)) domains for proxying)."
   in
   let queue_limit =
-    Arg.(
-      value
-      & opt (ranged_int ~what:"queue limit" ~lo:1 ~hi:1_000_000) 256
-      & info [ "queue-limit" ] ~docv:"N"
-          ~doc:
-            "Router admission limit: beyond it new connections get 429 + \
-             Retry-After. Also passed to every backend.")
+    queue_limit_arg
+      ~doc:
+        "Router admission limit: beyond it new connections get 429 + \
+         Retry-After. Also passed to every backend."
   in
   let probe_interval =
     Arg.(
@@ -942,9 +908,9 @@ let shard_cmd =
           running. SIGTERM drains the router, then rolls SIGTERM across the \
           fleet.")
     Term.(
-      const run $ verbose_arg $ registry $ host $ port $ backends $ domains
-      $ policy_arg $ chunk_arg $ max_body $ max_rows $ idle $ deadline
-      $ queue_limit $ probe_interval $ fail_threshold)
+      const run $ verbose_arg $ registry $ host_arg $ port $ backends
+      $ domains $ policy_arg $ chunk_arg $ max_body_arg $ max_rows_arg
+      $ idle_timeout_arg $ deadline_arg $ queue_limit $ probe_interval $ fail_threshold)
 
 (* ------------------------------------------------------------------ *)
 (* eval                                                                 *)

@@ -31,13 +31,9 @@ type t = {
   max_body : int;
   max_rows : int;
   deadline : float;
-  draining : bool Atomic.t;
-  queued : int Atomic.t;  (* accepted, not yet picked up by a worker *)
-  queue_limit : int;
-  connections : int Atomic.t;
+  listener : Listener.t;  (* draining flag, queue and accept counters *)
   reloads : int Atomic.t;
   reload_failures : int Atomic.t;
-  worker_restarts : int Atomic.t;
   (* Staged rollout: [admin] serializes flips, [warming] is the brief
      window in which a candidate generation is being canary-scored. *)
   admin : Mutex.t;
@@ -45,7 +41,6 @@ type t = {
   rollouts : int Atomic.t;
   rollbacks : int Atomic.t;
   rollout_failures : int Atomic.t;
-  shed_overload : int Atomic.t;
   shed_draining : int Atomic.t;
   shed_warming : int Atomic.t;
   (* Online adaptation, attached after construction by the server when
@@ -63,7 +58,7 @@ let initial_state source =
     { model; generation; loaded_at; expectations }
 
 let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
-    ~draining ~queued ~queue_limit =
+    ~listener =
   {
     state = Atomic.make (initial_state source);
     source;
@@ -73,19 +68,14 @@ let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
     max_body;
     max_rows;
     deadline;
-    draining;
-    queued;
-    queue_limit;
-    connections = Atomic.make 0;
+    listener;
     reloads = Atomic.make 0;
     reload_failures = Atomic.make 0;
-    worker_restarts = Atomic.make 0;
     admin = Mutex.create ();
     warming = Atomic.make false;
     rollouts = Atomic.make 0;
     rollbacks = Atomic.make 0;
     rollout_failures = Atomic.make 0;
-    shed_overload = Atomic.make 0;
     shed_draining = Atomic.make 0;
     shed_warming = Atomic.make 0;
     adapt = Atomic.make None;
@@ -114,19 +104,9 @@ let set_adapt t r =
   Atomic.set t.adapt (Some r);
   sync_drift t (Atomic.get t.state)
 
-let connections t = t.connections
-
-let worker_restarts t = t.worker_restarts
-
 let note_shed t = function
-  | `Overload -> ignore (Atomic.fetch_and_add t.shed_overload 1)
   | `Draining -> ignore (Atomic.fetch_and_add t.shed_draining 1)
   | `Warming -> ignore (Atomic.fetch_and_add t.shed_warming 1)
-
-(* The listener's admission estimate: requests being processed plus
-   connections accepted but not yet picked up by a worker. *)
-let admission_load t =
-  Telemetry.in_flight_count t.telemetry + Atomic.get t.queued
 
 (* SIGHUP semantics by source: a [Loader] re-runs the load function and
    bumps the generation; a [Registry] re-resolves the CURRENT pointer
@@ -366,7 +346,7 @@ let metrics_text t =
          pnrule_shed_total{reason=\"overload\"} %d\n\
          pnrule_shed_total{reason=\"draining\"} %d\n\
          pnrule_shed_total{reason=\"warming\"} %d\n"
-        (Atomic.get t.shed_overload)
+        (Listener.overload_shed t.listener)
         (Atomic.get t.shed_draining)
         (Atomic.get t.shed_warming);
       Printf.bprintf buf
@@ -374,24 +354,24 @@ let metrics_text t =
          by a worker.\n\
          # TYPE pnrule_queue_depth gauge\n\
          pnrule_queue_depth %d\n"
-        (Atomic.get t.queued);
+        (Listener.queued t.listener);
       Printf.bprintf buf
         "# HELP pnrule_queue_limit Admission limit on in-flight plus queued \
          work.\n\
          # TYPE pnrule_queue_limit gauge\n\
          pnrule_queue_limit %d\n"
-        t.queue_limit;
+        (Listener.queue_limit t.listener);
       Printf.bprintf buf
         "# HELP pnrule_connections_total Connections accepted.\n\
          # TYPE pnrule_connections_total counter\n\
          pnrule_connections_total %d\n"
-        (Atomic.get t.connections);
+        (Listener.connections t.listener);
       Printf.bprintf buf
         "# HELP pnrule_worker_restarts_total Worker domains respawned after \
          dying on an escaped exception.\n\
          # TYPE pnrule_worker_restarts_total counter\n\
          pnrule_worker_restarts_total %d\n"
-        (Atomic.get t.worker_restarts);
+        (Listener.worker_restarts t.listener);
       match Atomic.get t.adapt with
       | None -> ()
       | Some r ->
@@ -832,7 +812,7 @@ let admin t conn (req : Http.request) ~back ~keep =
 let dispatch t conn (req : Http.request) ~index ~keep =
   match (req.Http.meth, req.Http.path) with
   | "POST", "/predict" ->
-    if Atomic.get t.draining then begin
+    if Listener.draining t.listener then begin
       (* New work is refused during the drain with an explicit retry
          hint; requests already admitted keep running to completion. *)
       note_shed t `Draining;
@@ -846,7 +826,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:405 ~body:"use POST\n" ();
     (Telemetry.Predict, (405, `Close))
   | "POST", "/feedback" ->
-    if Atomic.get t.draining then begin
+    if Listener.draining t.listener then begin
       note_shed t `Draining;
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
@@ -878,7 +858,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:405 ~body:"use GET\n" ();
     (Telemetry.Admin, (405, `Close))
   | "GET", "/healthz" ->
-    if Atomic.get t.draining then begin
+    if Listener.draining t.listener then begin
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining\n" ();
@@ -904,7 +884,8 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:404 ~body:(Printf.sprintf "no route %s\n" path) ();
     (Telemetry.Other, (404, `Close))
 
-let handle t ~slot ~index conn =
+let handle t ~index conn =
+  let slot = Telemetry.slot t.telemetry index in
   match Http.read_request conn with
   | exception Http.Disconnect -> `Close
   | exception Http.Timeout -> `Close
@@ -931,7 +912,7 @@ let handle t ~slot ~index conn =
            no body we might leave half-read on the socket. *)
         let keep =
           req.Http.keep_alive
-          && (not (Atomic.get t.draining))
+          && (not (Listener.draining t.listener))
           && (req.Http.meth = "POST" || req.Http.content_length = None)
           && not req.Http.chunked_body
         in

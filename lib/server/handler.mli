@@ -33,11 +33,10 @@ type t
     [deadline] is the per-request wall-clock budget in seconds (0
     disables it); a request that overruns it — checked on every body
     refill and every response write — is answered 408 (or aborted if
-    the response already started). [draining] is shared with the accept
-    loop: when true, responses stop offering keep-alive, [/healthz]
-    turns 503 and new predict requests are shed. [queued] is the shared
-    count of accepted-but-unserved connections and [queue_limit] the
-    admission bound, both surfaced on [/metrics]. *)
+    the response already started). Once [listener] is draining,
+    responses stop offering keep-alive, [/healthz] turns 503 and new
+    predict requests are shed; its queue and accept counters are
+    surfaced on [/metrics]. *)
 val create :
   source:source ->
   telemetry:Telemetry.t ->
@@ -46,33 +45,13 @@ val create :
   max_body:int ->
   max_rows:int ->
   deadline:float ->
-  draining:bool Atomic.t ->
-  queued:int Atomic.t ->
-  queue_limit:int ->
+  listener:Listener.t ->
   t
 
 val telemetry : t -> Telemetry.t
 
 (** Current model snapshot. *)
 val state : t -> state
-
-(** Bumped by the accept loop; surfaced on [/metrics]. *)
-val connections : t -> int Atomic.t
-
-(** Bumped by the listener when it respawns a dead worker domain;
-    surfaced on [/metrics] as [pnrule_worker_restarts_total]. *)
-val worker_restarts : t -> int Atomic.t
-
-(** [note_shed t reason] counts one load-shedding refusal, surfaced as
-    [pnrule_shed_total{reason=...}]. [`Overload] is bumped by the
-    listener's admission control, [`Draining] and [`Warming] by the
-    handler itself. *)
-val note_shed : t -> [ `Overload | `Draining | `Warming ] -> unit
-
-(** [admission_load t] is in-flight requests plus
-    accepted-but-unserved connections — what the listener compares
-    against the queue limit before admitting a connection. *)
-val admission_load : t -> int
 
 (** [reload t] re-resolves the source and atomically swaps the model
     in: a [Loader] is re-run (generation +1), a [Registry] re-resolves
@@ -110,12 +89,11 @@ val set_adapt : t -> Pn_adapt.Retrainer.t -> unit
 
 val adapt : t -> Pn_adapt.Retrainer.t option
 
-(** [handle t ~slot ~index conn] reads one request off [conn],
-    dispatches it, writes the response, and records telemetry into
-    [slot] ([index] is the worker's slot index, used to address the
-    drift monitor's per-domain counters). Returns whether the
-    connection may serve another request. Never raises: protocol errors
-    become 4xx responses, handler bugs become 500s, and a vanished peer
-    becomes [`Close]. *)
-val handle :
-  t -> slot:Telemetry.slot -> index:int -> Http.conn -> [ `Keep | `Close ]
+(** [handle t ~index conn] reads one request off [conn], dispatches
+    it, writes the response, and records telemetry into worker
+    [index]'s slot (the same index addresses the drift monitor's
+    per-domain counters). Returns whether the connection may serve
+    another request. Never raises: protocol errors become 4xx
+    responses, handler bugs become 500s, and a vanished peer becomes
+    [`Close]. *)
+val handle : t -> index:int -> Http.conn -> [ `Keep | `Close ]

@@ -1,0 +1,272 @@
+let log = Logs.Src.create "pn_server.listener" ~doc:"accept loop and worker pool"
+
+module Log = (val Logs.src_log log)
+
+type config = {
+  host : string;
+  port : int;
+  domains : int;
+  idle_timeout : float;
+  backlog : int;
+  queue_limit : int;
+}
+
+(* Blocking multi-producer/multi-consumer queue; [None] is the
+   per-worker shutdown sentinel. *)
+module Q = struct
+  type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
+
+  let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
+
+  let push t v =
+    Mutex.lock t.m;
+    Queue.push v t.q;
+    Condition.signal t.c;
+    Mutex.unlock t.m
+
+  let pop t =
+    Mutex.lock t.m;
+    while Queue.is_empty t.q do
+      Condition.wait t.c t.m
+    done;
+    let v = Queue.pop t.q in
+    Mutex.unlock t.m;
+    v
+end
+
+(* One worker domain plus the flag it raises when it dies on an escaped
+   exception. The listener polls the flag, joins the corpse, and
+   respawns into the same slot (same index), so a crashed worker never
+   shrinks the pool. *)
+type worker_slot = {
+  mutable domain : unit Domain.t;
+  dead : bool Atomic.t;
+}
+
+type t = {
+  who : string;
+  config : config;
+  queue : Unix.file_descr option Q.t;
+  queued : int Atomic.t;
+  stop_req : bool Atomic.t;
+  draining : bool Atomic.t;
+  connections : int Atomic.t;
+  overload_shed : int Atomic.t;
+  worker_restarts : int Atomic.t;
+  mutable port : int;
+  mutable workers : worker_slot array;
+  mutable listener : unit Domain.t option;
+}
+
+let create ~who config =
+  let bad what = invalid_arg (who ^ ".start: " ^ what) in
+  (match Unix.inet_addr_of_string config.host with
+  | _ -> ()
+  | exception Failure _ -> bad "host must be a numeric IP address");
+  if config.domains < 1 || config.domains > 64 then
+    bad "domains must be in 1..64";
+  if config.port < 0 || config.port > 65535 then bad "port must be in 0..65535";
+  (* Written so that NaN fails too. *)
+  if not (config.idle_timeout > 0.0) then bad "idle_timeout";
+  if config.backlog < 1 || config.backlog > 65535 then
+    bad "backlog must be in 1..65535";
+  if config.queue_limit < 1 then bad "queue_limit";
+  {
+    who;
+    config;
+    queue = Q.create ();
+    queued = Atomic.make 0;
+    stop_req = Atomic.make false;
+    draining = Atomic.make false;
+    connections = Atomic.make 0;
+    overload_shed = Atomic.make 0;
+    worker_restarts = Atomic.make 0;
+    port = config.port;
+    workers = [||];
+    listener = None;
+  }
+
+let port t = t.port
+let request_stop t = Atomic.set t.stop_req true
+let draining t = Atomic.get t.draining
+let queued t = Atomic.get t.queued
+let queue_limit t = t.config.queue_limit
+let connections t = Atomic.get t.connections
+let overload_shed t = Atomic.get t.overload_shed
+let worker_restarts t = Atomic.get t.worker_restarts
+
+(* ------------------------------------------------------------------ *)
+(* Worker domains                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One connection, start to close: keep-alive requests loop until the
+   client leaves, the idle timeout fires, or a drain begins. Any
+   exception that escapes [handle] means the connection is beyond
+   saving — close it, keep the worker. The one deliberate hole: an
+   injected fault is re-raised so it kills the worker domain, which is
+   exactly the crash the supervision path exists to recover from. *)
+let serve_conn t ~handle ~index fd =
+  let conn = Http.make_conn fd in
+  let rec requests () =
+    match
+      Http.wait_readable conn ~timeout:t.config.idle_timeout ~stop:(fun () ->
+          Atomic.get t.draining)
+    with
+    | `Timeout | `Stopped -> ()
+    | `Readable -> (
+      match handle ~index conn with `Keep -> requests () | `Close -> ())
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      try
+        Pn_util.Fault.check "server.worker";
+        requests ()
+      with
+      | Pn_util.Fault.Injected _ as e -> raise e
+      | _ -> ())
+
+(* A worker never lets an exception escape its domain: it records the
+   death in [dead] and returns, so [Domain.join] on the corpse is always
+   clean and the listener can respawn it. *)
+let worker t ~handle i dead () =
+  let rec loop () =
+    match Q.pop t.queue with
+    | None -> ()
+    | Some fd ->
+      ignore (Atomic.fetch_and_add t.queued (-1));
+      serve_conn t ~handle ~index:i fd;
+      loop ()
+  in
+  try loop ()
+  with e ->
+    Log.err (fun m ->
+        m "%s: worker domain %d died: %s" t.who i (Printexc.to_string e));
+    Atomic.set dead true
+
+(* Supervision sweep, run from the listener loop: join any worker that
+   flagged itself dead and respawn into the same slot. *)
+let check_workers t ~handle =
+  Array.iteri
+    (fun i ws ->
+      if Atomic.get ws.dead then begin
+        Domain.join ws.domain;
+        ignore (Atomic.fetch_and_add t.worker_restarts 1);
+        Log.warn (fun m -> m "%s: respawning dead worker domain %d" t.who i);
+        Atomic.set ws.dead false;
+        ws.domain <- Domain.spawn (worker t ~handle i ws.dead)
+      end)
+    t.workers
+
+(* ------------------------------------------------------------------ *)
+(* Listener domain                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let accept t lfd ~in_flight =
+  match Unix.accept ~cloexec:true lfd with
+  | fd, _ ->
+    (* Bound every read so a stalled peer cannot pin a worker. *)
+    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout
+     with Unix.Unix_error _ -> ());
+    (* Responses are written as header + body chunks back to back;
+       without TCP_NODELAY, Nagle + delayed ACK turns that into a
+       ~40 ms stall per request. *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+    ignore (Atomic.fetch_and_add t.connections 1);
+    (* Admission control: refuse work beyond what the worker pool plus a
+       bounded queue can absorb. A refusal is one canned write from this
+       domain, so a saturated server sheds at accept speed instead of
+       queueing work until deadlines fire. *)
+    if in_flight () + Atomic.get t.queued >= t.config.queue_limit then begin
+      ignore (Atomic.fetch_and_add t.overload_shed 1);
+      Http.deny fd ~status:429 ~retry_after:1 ~body:"over capacity; retry later\n";
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    end
+    else begin
+      ignore (Atomic.fetch_and_add t.queued 1);
+      Q.push t.queue (Some fd)
+    end
+  | exception
+      Unix.Unix_error
+        ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+    ->
+    ()
+  | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+    (* The listening socket was closed under us (a stop racing the
+       accept). Treat it as the stop it is instead of crashing the
+       listener domain and hanging [join]. *)
+    Atomic.set t.stop_req true
+
+let listener t lfd ~handle ~in_flight ~tick ~after_drain () =
+  let rec loop () =
+    tick ();
+    check_workers t ~handle;
+    if not (Atomic.get t.stop_req) then begin
+      (match Unix.select [ lfd ] [] [] 0.05 with
+      | [ _ ], _, _ -> accept t lfd ~in_flight
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+        (* Same race, seen by select: a closed socket must start the
+           drain, not busy-loop or kill the domain. *)
+        Atomic.set t.stop_req true);
+      loop ()
+    end
+  in
+  loop ();
+  Log.info (fun m ->
+      m "%s: draining %d worker domain(s)" t.who t.config.domains);
+  Atomic.set t.draining true;
+  (try Unix.close lfd with Unix.Unix_error _ -> ());
+  (* Sentinels queue behind any accepted-but-unserved connections, so
+     those are served before the workers exit. *)
+  Array.iter (fun _ -> Q.push t.queue None) t.workers;
+  Array.iter (fun ws -> Domain.join ws.domain) t.workers;
+  after_drain ();
+  Log.info (fun m -> m "%s: drained" t.who)
+
+(* ------------------------------------------------------------------ *)
+(* Lifecycle                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A TCP socket bound to [host:port], and the port actually bound. *)
+let bind host port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  try
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> (fd, p)
+    | Unix.ADDR_UNIX _ -> assert false
+  with e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
+let free_port host =
+  let fd, port = bind host 0 in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  port
+
+let start t ~handle ~in_flight ~tick ~after_drain =
+  (* SIGPIPE must die before the first write to a vanished client. *)
+  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+  let lfd, port = bind t.config.host t.config.port in
+  (try Unix.listen lfd t.config.backlog
+   with e ->
+     (try Unix.close lfd with Unix.Unix_error _ -> ());
+     raise e);
+  t.port <- port;
+  t.workers <-
+    Array.init t.config.domains (fun i ->
+        let dead = Atomic.make false in
+        { domain = Domain.spawn (worker t ~handle i dead); dead });
+  t.listener <-
+    Some
+      (Domain.spawn (listener t lfd ~handle ~in_flight ~tick ~after_drain))
+
+let join t =
+  match t.listener with
+  | None -> ()
+  | Some d ->
+    t.listener <- None;
+    Domain.join d

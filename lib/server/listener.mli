@@ -1,0 +1,90 @@
+(** The serving front end shared by the prediction daemon ({!Server})
+    and the shard router: one listener domain accepting TCP connections
+    into a blocking queue, and a fixed pool of worker domains that each
+    own one connection at a time, start to close.
+
+    - The listener polls the socket every 50 ms. Accepted sockets get
+      [SO_RCVTIMEO] = [idle_timeout] (a stalled peer cannot pin a
+      worker) and [TCP_NODELAY].
+    - Admission control: a connection accepted while in-flight requests
+      plus queued connections have reached [queue_limit] is refused on
+      the spot with a canned [429] + [Retry-After: 1]. Accepted work is
+      never dropped; new work is shed at accept speed.
+    - Supervision: a worker domain that dies on an escaped exception
+      flags itself; the listener joins it and respawns a fresh domain
+      into the same slot (same [index]) within ~50 ms. The
+      [server.worker] fault point fires once per connection, before its
+      first request, and kills the worker on purpose.
+    - Drain, on {!request_stop}: stop accepting, close the listening
+      socket, raise {!draining} (idle keep-alive waits end), queue one
+      shutdown sentinel per worker behind every accepted connection (so
+      those are still served), join the workers, then run the caller's
+      [after_drain].
+
+    SIGPIPE is ignored process-wide from {!start} on: a vanished client
+    surfaces as an [EPIPE], never a killed process. *)
+
+type config = {
+  host : string;  (** numeric bind address *)
+  port : int;  (** 0 picks an ephemeral port; see {!port} *)
+  domains : int;  (** worker domains, 1..64 *)
+  idle_timeout : float;
+      (** seconds a keep-alive connection may sit idle; also the
+          per-read stall timeout inside a request *)
+  backlog : int;  (** kernel [listen(2)] backlog, 1..65535 *)
+  queue_limit : int;  (** admission bound on in-flight plus queued work *)
+}
+
+type t
+
+(** [create ~who config] checks [config] and allocates the queue and
+    counters; it opens nothing. An out-of-range field raises
+    [Invalid_argument "<who>.start: ..."]. *)
+val create : who:string -> config -> t
+
+(** [start t ~handle ~in_flight ~tick ~after_drain] binds the socket,
+    spawns the workers and the listener domain, and returns. A worker
+    calls [handle ~index conn] once per request on a connection, [index]
+    being its slot in [0, domains); [`Keep] waits for the next request.
+    [in_flight ()] counts requests being processed, for admission.
+    [tick ()] runs in the listener domain once per poll. [after_drain ()]
+    runs in the listener domain once the workers are joined. Raises
+    [Unix.Unix_error] if the bind fails. *)
+val start :
+  t ->
+  handle:(index:int -> Http.conn -> [ `Keep | `Close ]) ->
+  in_flight:(unit -> int) ->
+  tick:(unit -> unit) ->
+  after_drain:(unit -> unit) ->
+  unit
+
+(** The bound port, once {!start} has returned. *)
+val port : t -> int
+
+(** [free_port host] is a TCP port on [host] that was free a moment
+    ago: the kernel's pick for a bind to port 0, released at once. *)
+val free_port : string -> int
+
+(** Flip the stop flag; the drain begins within ~50 ms. Signal-safe. *)
+val request_stop : t -> unit
+
+(** Block until the drain, [after_drain] included, has completed.
+    Idempotent. *)
+val join : t -> unit
+
+(** True from the start of the drain on. *)
+val draining : t -> bool
+
+(** Accepted connections not yet picked up by a worker. *)
+val queued : t -> int
+
+val queue_limit : t -> int
+
+(** Connections accepted, admitted or not. *)
+val connections : t -> int
+
+(** Connections refused by admission control. *)
+val overload_shed : t -> int
+
+(** Worker domains respawned after dying. *)
+val worker_restarts : t -> int

@@ -33,54 +33,13 @@ let default_config =
     adapt = None;
   }
 
-(* Blocking multi-producer/multi-consumer queue; [None] is the
-   per-worker shutdown sentinel. *)
-module Q = struct
-  type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
-
-  let create () = { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
-
-  let push t v =
-    Mutex.lock t.m;
-    Queue.push v t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let v = Queue.pop t.q in
-    Mutex.unlock t.m;
-    v
-end
-
-(* One worker domain plus the flag it raises when it dies on an escaped
-   exception. The listener polls the flag, joins the corpse, and
-   respawns into the same slot (same telemetry index), so a crashed
-   worker never shrinks the pool. *)
-type worker_slot = {
-  mutable domain : unit Domain.t;
-  dead : bool Atomic.t;
-}
-
 type t = {
-  config : config;
-  lfd : Unix.file_descr;
-  port : int;
+  listener : Listener.t;
   handler : Handler.t;
-  queue : Unix.file_descr option Q.t;
-  queued : int Atomic.t;  (* depth of [queue], shared with the handler *)
-  stop_req : bool Atomic.t;
   reload_req : bool Atomic.t;
-  draining : bool Atomic.t;
-  retrainer : Pn_adapt.Retrainer.t option;
-  mutable workers : worker_slot array;
-  mutable listener : unit Domain.t option;
 }
 
-let port t = t.port
+let port t = Listener.port t.listener
 
 let generation t = (Handler.state t.handler).Handler.generation
 
@@ -88,183 +47,33 @@ let reload t = Handler.reload t.handler
 
 let request_reload t = Atomic.set t.reload_req true
 
-let request_stop t = Atomic.set t.stop_req true
-
-(* ------------------------------------------------------------------ *)
-(* Worker domains                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One connection, start to close: keep-alive requests loop until the
-   client leaves, the idle timeout fires, or a drain begins. Any
-   exception that escapes the handler (it catches its own) means the
-   connection is beyond saving — close it, keep the worker. The one
-   deliberate hole: an injected [server.worker] fault is re-raised so it
-   kills the worker domain, which is exactly the crash the supervision
-   path exists to recover from. *)
-let serve_conn t ~slot ~index fd =
-  let conn = Http.make_conn fd in
-  let rec requests () =
-    match
-      Http.wait_readable conn ~timeout:t.config.idle_timeout ~stop:(fun () ->
-          Atomic.get t.draining)
-    with
-    | `Timeout | `Stopped -> ()
-    | `Readable -> (
-      match Handler.handle t.handler ~slot ~index conn with
-      | `Keep -> requests ()
-      | `Close -> ())
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try
-        Pn_util.Fault.check "server.worker";
-        requests ()
-      with
-      | Pn_util.Fault.Injected _ as e -> raise e
-      | _ -> ())
-
-(* A worker never lets an exception escape its domain: it records the
-   death in [dead] and returns, so [Domain.join] on the corpse is always
-   clean and the listener can respawn it. *)
-let worker t i dead () =
-  let slot = Telemetry.slot (Handler.telemetry t.handler) i in
-  let rec loop () =
-    match Q.pop t.queue with
-    | None -> ()
-    | Some fd ->
-      ignore (Atomic.fetch_and_add t.queued (-1));
-      serve_conn t ~slot ~index:i fd;
-      loop ()
-  in
-  try loop ()
-  with e ->
-    Log.err (fun m -> m "worker domain %d died: %s" i (Printexc.to_string e));
-    Atomic.set dead true
-
-let spawn_worker t i =
-  let dead = Atomic.make false in
-  { domain = Domain.spawn (worker t i dead); dead }
-
-(* Supervision sweep, run from the listener loop: join any worker that
-   flagged itself dead and respawn into the same slot. *)
-let check_workers t =
-  Array.iteri
-    (fun i ws ->
-      if Atomic.get ws.dead then begin
-        Domain.join ws.domain;
-        ignore (Atomic.fetch_and_add (Handler.worker_restarts t.handler) 1);
-        Log.warn (fun m -> m "respawning dead worker domain %d" i);
-        Atomic.set ws.dead false;
-        ws.domain <- Domain.spawn (worker t i ws.dead)
-      end)
-    t.workers
-
-(* ------------------------------------------------------------------ *)
-(* Listener domain                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let listener t () =
-  let rec loop () =
-    if Atomic.get t.reload_req then begin
-      Atomic.set t.reload_req false;
-      ignore (Handler.reload t.handler)
-    end;
-    check_workers t;
-    if Atomic.get t.stop_req then ()
-    else begin
-      (match Unix.select [ t.lfd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-        match Unix.accept ~cloexec:true t.lfd with
-        | fd, _ ->
-          (* Bound every read so a stalled peer cannot pin a worker. *)
-          (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout
-           with Unix.Unix_error _ -> ());
-          (* Responses are written as header + body chunks back to back;
-             without TCP_NODELAY, Nagle + delayed ACK turns that into a
-             ~40 ms stall per request. *)
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          ignore (Atomic.fetch_and_add (Handler.connections t.handler) 1);
-          (* Admission control: refuse work beyond what the worker pool
-             plus a bounded queue can absorb. The estimate is in-flight
-             requests plus accepted-but-unserved connections; a refusal
-             is one canned write from this domain, so a saturated
-             daemon sheds at accept speed instead of queueing work
-             until deadlines fire. *)
-          if Handler.admission_load t.handler >= t.config.queue_limit then begin
-            Handler.note_shed t.handler `Overload;
-            Http.deny fd ~status:429 ~retry_after:1
-              ~body:"over capacity; retry later\n";
-            try Unix.close fd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            ignore (Atomic.fetch_and_add t.queued 1);
-            Q.push t.queue (Some fd)
-          end
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
-          ->
-          ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-          (* The listening socket was closed under us (a stop racing the
-             accept). Treat it as the stop it is instead of crashing the
-             listener domain and hanging [join]. *)
-          Atomic.set t.stop_req true)
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-        (* Same race, seen by select: a closed lfd must start the drain,
-           not busy-loop or kill the domain. *)
-        Atomic.set t.stop_req true);
-      loop ()
-    end
-  in
-  loop ();
-  (* Graceful drain: stop accepting, let queued and in-flight
-     connections finish, wake idle keep-alive waits via [draining]. *)
-  Log.info (fun m -> m "draining: %d worker domain(s)" t.config.domains);
-  Atomic.set t.draining true;
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-  (* Sentinels queue behind any accepted-but-unserved connections, so
-     those are served before the workers exit. *)
-  Array.iter (fun _ -> Q.push t.queue None) t.workers;
-  Array.iter (fun ws -> Domain.join ws.domain) t.workers;
-  Option.iter Pn_adapt.Retrainer.stop t.retrainer;
-  Log.info (fun m -> m "drained")
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                            *)
-(* ------------------------------------------------------------------ *)
+let request_stop t = Listener.request_stop t.listener
 
 let start ?(config = default_config) ~source () =
-  if config.domains < 1 || config.domains > 64 then
-    invalid_arg "Server.start: domains must be in 1..64";
-  if config.port < 0 || config.port > 65535 then
-    invalid_arg "Server.start: port must be in 0..65535";
+  let listener =
+    Listener.create ~who:"Server"
+      {
+        Listener.host = config.host;
+        port = config.port;
+        domains = config.domains;
+        idle_timeout = config.idle_timeout;
+        backlog = config.backlog;
+        queue_limit = config.queue_limit;
+      }
+  in
   if config.chunk_size <= 0 then invalid_arg "Server.start: chunk_size";
   if config.max_body <= 0 then invalid_arg "Server.start: max_body";
   if config.max_rows <= 0 then invalid_arg "Server.start: max_rows";
-  if config.idle_timeout <= 0.0 then invalid_arg "Server.start: idle_timeout";
   if config.deadline < 0.0 then invalid_arg "Server.start: deadline";
-  if config.backlog < 1 || config.backlog > 65535 then
-    invalid_arg "Server.start: backlog must be in 1..65535";
-  if config.queue_limit < 1 then invalid_arg "Server.start: queue_limit";
   (match (config.adapt, source) with
   | Some _, Handler.Loader _ ->
     invalid_arg "Server.start: adapt requires a Registry source"
   | _ -> ());
-  (* SIGPIPE must die before the first write to a vanished client. *)
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let telemetry = Telemetry.create ~slots:config.domains in
-  let draining = Atomic.make false in
-  let queued = Atomic.make 0 in
   let handler =
     Handler.create ~source ~telemetry ~policy:config.policy
       ~chunk_size:config.chunk_size ~max_body:config.max_body
-      ~max_rows:config.max_rows ~deadline:config.deadline ~draining ~queued
-      ~queue_limit:config.queue_limit
+      ~max_rows:config.max_rows ~deadline:config.deadline ~listener
   in
   (* Built before the socket so a malformed adapt config raises without
      leaking the listener fd. *)
@@ -288,51 +97,23 @@ let start ?(config = default_config) ~source () =
       Handler.set_adapt handler r;
       Some r
   in
-  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let t =
-    try
-      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-      Unix.bind lfd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lfd config.backlog;
-      let port =
-        match Unix.getsockname lfd with
-        | Unix.ADDR_INET (_, p) -> p
-        | Unix.ADDR_UNIX _ -> assert false
-      in
-      {
-        config;
-        lfd;
-        port;
-        handler;
-        queue = Q.create ();
-        queued;
-        stop_req = Atomic.make false;
-        reload_req = Atomic.make false;
-        draining;
-        retrainer;
-        workers = [||];
-        listener = None;
-      }
-    with e ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      raise e
-  in
-  t.workers <- Array.init config.domains (fun i -> spawn_worker t i);
-  Option.iter Pn_adapt.Retrainer.start t.retrainer;
-  t.listener <- Some (Domain.spawn (listener t));
+  let t = { listener; handler; reload_req = Atomic.make false } in
+  Listener.start listener ~handle:(Handler.handle handler)
+    ~in_flight:(fun () -> Telemetry.in_flight_count telemetry)
+    ~tick:(fun () ->
+      if Atomic.exchange t.reload_req false then ignore (Handler.reload handler))
+    ~after_drain:(fun () -> Option.iter Pn_adapt.Retrainer.stop retrainer);
+  (* Started once the bind has succeeded. A stop can only be requested
+     through the [t] returned below, so the drain's [Retrainer.stop]
+     never races this start. *)
+  Option.iter Pn_adapt.Retrainer.start retrainer;
   Log.info (fun m ->
       m "listening on %s:%d (%d worker domain(s), model generation %d)"
-        config.host t.port config.domains
+        config.host (port t) config.domains
         (Handler.state handler).Handler.generation);
   t
 
-let join t =
-  match t.listener with
-  | None -> ()
-  | Some d ->
-    t.listener <- None;
-    Domain.join d
+let join t = Listener.join t.listener
 
 let stop t =
   request_stop t;

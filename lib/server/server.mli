@@ -1,5 +1,6 @@
-(** The resident prediction daemon: a TCP listener domain feeding a
-    fixed pool of worker domains over a blocking queue.
+(** The resident prediction daemon: a {!Handler} behind a {!Listener}
+    (one accepting domain feeding a fixed pool of worker domains over a
+    blocking queue, with admission control and worker supervision).
 
     Lifecycle:
     - {!start} loads the model, binds the socket, spawns the domains and
@@ -8,25 +9,14 @@
       flight finish on the model they started with;
     - SIGTERM/SIGINT (or {!stop}) drains gracefully: the listener stops
       accepting, already-accepted connections are served to completion,
-      idle keep-alive connections are closed, workers are joined.
+      idle keep-alive connections are closed, workers are joined, then
+      the background retrainer (if any) is stopped.
 
     Signals only flip atomics; the listener loop notices them within
-    ~50 ms and does the actual work, so handlers stay trivial. SIGPIPE
-    is ignored for the whole process while a server runs — a vanished
-    client surfaces as an [EPIPE] that the HTTP layer turns into a
-    closed connection, never a killed process.
+    ~50 ms and does the actual work, so handlers stay trivial.
 
-    The listener is also the admission controller: every accepted
-    connection is checked against [queue_limit] (in-flight plus queued
-    work) and refused with a canned [429] + [Retry-After] when the
-    daemon is saturated — accepted work is never dropped, new work is
-    shed at accept speed. Refusals are counted per reason as
-    [pnrule_shed_total].
-
-    The listener also supervises the worker pool: a worker domain that
-    dies on an escaped exception flags itself, and the listener joins
-    the corpse and respawns a fresh domain into the same slot (same
-    telemetry index) within ~50 ms. Restarts are counted and exported as
+    Refused connections are counted as
+    [pnrule_shed_total{reason="overload"}] and worker respawns as
     [pnrule_worker_restarts_total]. *)
 
 type config = {

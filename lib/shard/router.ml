@@ -2,6 +2,7 @@ let log = Logs.Src.create "pn_shard.router" ~doc:"shard router lifecycle"
 
 module Log = (val Logs.src_log log)
 module Http = Pn_server.Http
+module Listener = Pn_server.Listener
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -18,15 +19,9 @@ type config = {
          tests can arm per-shard PNRULE_FAULTS *)
   max_body : int;
   idle_timeout : float;  (* client keep-alive idle bound *)
-  proxy_timeout : float;  (* per-IO bound on proxy legs *)
   probe_interval : float;  (* supervisor tick *)
-  probe_timeout : float;  (* per-IO bound on probes and scrapes *)
   fail_threshold : int;  (* consecutive bad probes before escalating *)
   start_budget : float;  (* seconds a starting shard gets to go healthy *)
-  flap_window : float;  (* healthy seconds before the backoff ladder resets *)
-  respawn_cap : int;  (* backoff ladder cap (flap damping) *)
-  drain_budget : float;  (* SIGTERM-to-SIGKILL grace per shard on drain *)
-  backlog : int;
   queue_limit : int;  (* admission bound: queued + in-flight *)
 }
 
@@ -40,17 +35,18 @@ let default_config =
     backend_env = (fun ~index:_ -> None);
     max_body = 64 * 1024 * 1024;
     idle_timeout = 5.0;
-    proxy_timeout = 30.0;
     probe_interval = 0.05;
-    probe_timeout = 2.0;
     fail_threshold = 3;
     start_budget = 30.0;
-    flap_window = 10.0;
-    respawn_cap = 8;
-    drain_budget = 5.0;
-    backlog = 128;
     queue_limit = 256;
   }
+
+let proxy_timeout = 30.0  (* per-IO bound on proxy legs *)
+let probe_timeout = 2.0  (* per-IO bound on probes and scrapes *)
+let flap_window = 10.0  (* healthy seconds before the backoff ladder resets *)
+let respawn_cap = 8  (* backoff ladder cap (flap damping) *)
+let drain_budget = 5.0  (* SIGTERM-to-SIGKILL grace per shard on drain *)
+let backlog = 128  (* kernel listen(2) backlog of the client socket *)
 
 (* ------------------------------------------------------------------ *)
 (* Router telemetry                                                     *)
@@ -91,10 +87,8 @@ type rtel = {
   proxy_retries : int Atomic.t;  (* transient IO retries on proxy legs *)
   respawns : int Atomic.t;  (* shard processes respawned *)
   spawn_failures : int Atomic.t;  (* spawn attempts that failed outright *)
-  shed_overload : int Atomic.t;
   shed_no_backend : int Atomic.t;
   shed_draining : int Atomic.t;
-  connections : int Atomic.t;
   in_flight : int Atomic.t;
 }
 
@@ -107,10 +101,8 @@ let make_rtel () =
     proxy_retries = Atomic.make 0;
     respawns = Atomic.make 0;
     spawn_failures = Atomic.make 0;
-    shed_overload = Atomic.make 0;
     shed_no_backend = Atomic.make 0;
     shed_draining = Atomic.make 0;
-    connections = Atomic.make 0;
     in_flight = Atomic.make 0;
   }
 
@@ -118,51 +110,20 @@ let make_rtel () =
 (* Router state                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Q = struct
-  type 'a t = { q : 'a Queue.t; m : Mutex.t; c : Condition.t }
-
-  let create () =
-    { q = Queue.create (); m = Mutex.create (); c = Condition.create () }
-
-  let push t v =
-    Mutex.lock t.m;
-    Queue.push v t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let v = Queue.pop t.q in
-    Mutex.unlock t.m;
-    v
-end
-
-type worker_slot = { mutable domain : unit Domain.t; dead : bool Atomic.t }
-
 type t = {
   config : config;
-  lfd : Unix.file_descr;
-  port : int;
+  listener : Listener.t;
   backends : Backend.t array;
-  queue : Unix.file_descr option Q.t;
-  queued : int Atomic.t;
-  stop_req : bool Atomic.t;
-  draining : bool Atomic.t;
   stop_backends : bool Atomic.t;  (* raised only after workers drained *)
   chld : bool Atomic.t;  (* SIGCHLD arrived; reap promptly *)
   rr : int Atomic.t;  (* round-robin cursor *)
   rtel : rtel;
   admin : Mutex.t;  (* serializes rolling rollout/rollback *)
-  mutable workers : worker_slot array;
-  mutable listener : unit Domain.t option;
   mutable supervisor : unit Domain.t option;
 }
 
-let port t = t.port
-let request_stop t = Atomic.set t.stop_req true
+let port t = Listener.port t.listener
+let request_stop t = Listener.request_stop t.listener
 let note_chld t = Atomic.set t.chld true
 
 let healthy_count t =
@@ -188,7 +149,7 @@ let attempt t b ~meth ~target ~headers ~body =
   let port = Atomic.get b.Backend.port in
   match
     let c =
-      Http.connect ~host:t.config.host ~port ~timeout:t.config.proxy_timeout
+      Http.connect ~host:t.config.host ~port ~timeout:proxy_timeout
         ~write_fault:"router.proxy_write" ~read_fault:"router.proxy_read" ()
     in
     Fun.protect
@@ -215,7 +176,7 @@ let scrape t b target =
     let c =
       Http.connect ~host:t.config.host
         ~port:(Atomic.get b.Backend.port)
-        ~timeout:t.config.probe_timeout ()
+        ~timeout:probe_timeout ()
     in
     Fun.protect
       ~finally:(fun () -> Http.close c)
@@ -369,13 +330,13 @@ let router_metrics_text t =
   counter "pnrule_router_shed_total" "Requests refused by the router"
     (fun name ->
       Printf.bprintf buf "%s{reason=\"overload\"} %d\n" name
-        (Atomic.get t.rtel.shed_overload);
+        (Listener.overload_shed t.listener);
       Printf.bprintf buf "%s{reason=\"no_backend\"} %d\n" name
         (Atomic.get t.rtel.shed_no_backend);
       Printf.bprintf buf "%s{reason=\"draining\"} %d\n" name
         (Atomic.get t.rtel.shed_draining));
   counter "pnrule_router_connections_total" "Client connections accepted"
-    (scalar (Atomic.get t.rtel.connections));
+    (scalar (Listener.connections t.listener));
   gauge "pnrule_router_backends" "Configured shard count"
     (scalar (Array.length t.backends));
   gauge "pnrule_router_backends_healthy" "Shards currently in rotation"
@@ -580,7 +541,7 @@ let encode_target req =
    relayed untouched, so predictions through the router are
    byte-identical to a direct backend (and to batch Serve). *)
 let proxy t conn req ~ep ~keep =
-  if Atomic.get t.draining then begin
+  if Listener.draining t.listener then begin
     ignore (Atomic.fetch_and_add t.rtel.shed_draining 1);
     observe t ~ep ~status:503;
     Http.respond conn ~status:503
@@ -684,7 +645,7 @@ let handle t conn =
     Fun.protect
       ~finally:(fun () -> ignore (Atomic.fetch_and_add t.rtel.in_flight (-1)))
       (fun () ->
-        let keep = req.Http.keep_alive && not (Atomic.get t.draining) in
+        let keep = req.Http.keep_alive && not (Listener.draining t.listener) in
         let ep = classify req.Http.path in
         let simple ?headers status body =
           observe t ~ep ~status;
@@ -693,7 +654,7 @@ let handle t conn =
         in
         match (req.Http.meth, req.Http.path) with
         | "GET", "/healthz" ->
-          if Atomic.get t.draining then
+          if Listener.draining t.listener then
             simple ~headers:[ ("retry-after", "1") ] 503 "draining\n"
           else begin
             let healthy = healthy_count t in
@@ -710,7 +671,7 @@ let handle t conn =
         | "GET", "/model" -> simple 200 (model_body t)
         | "GET", "/admin/backends" -> simple 200 (backends_body t)
         | "POST", "/admin/rollout" | "POST", "/admin/rollback" ->
-          if Atomic.get t.draining then
+          if Listener.draining t.listener then
             simple ~headers:[ ("retry-after", "1") ] 503 "draining\n"
           else begin
             let status, headers, body =
@@ -728,81 +689,21 @@ let handle t conn =
         | _ -> simple 404 "not found\n")
 
 (* ------------------------------------------------------------------ *)
-(* Worker domains                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let serve_conn t fd =
-  let conn = Http.make_conn fd in
-  let rec requests () =
-    match
-      Http.wait_readable conn ~timeout:t.config.idle_timeout ~stop:(fun () ->
-          Atomic.get t.draining)
-    with
-    | `Timeout | `Stopped -> ()
-    | `Readable -> (
-      match handle t conn with `Keep -> requests () | `Close -> ())
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> try requests () with _ -> ())
-
-let worker t i dead () =
-  let rec loop () =
-    match Q.pop t.queue with
-    | None -> ()
-    | Some fd ->
-      ignore (Atomic.fetch_and_add t.queued (-1));
-      serve_conn t fd;
-      loop ()
-  in
-  try loop ()
-  with e ->
-    Log.err (fun m ->
-        m "router worker domain %d died: %s" i (Printexc.to_string e));
-    Atomic.set dead true
-
-let spawn_worker t i =
-  let dead = Atomic.make false in
-  { domain = Domain.spawn (worker t i dead); dead }
-
-let check_workers t =
-  Array.iteri
-    (fun i ws ->
-      if Atomic.get ws.dead then begin
-        Domain.join ws.domain;
-        Log.warn (fun m -> m "respawning dead router worker domain %d" i);
-        Atomic.set ws.dead false;
-        ws.domain <- Domain.spawn (worker t i ws.dead)
-      end)
-    t.workers
-
-(* ------------------------------------------------------------------ *)
 (* Backend supervision                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let pick_port host =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, 0));
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false)
 
 (* Respawn pacing: jittered exponential from 50 ms, capped at 2 s, with
    the ladder position itself capped (flap damping) — a shard that
    crash-loops settles into a bounded respawn rate instead of a hot
    fork loop, and the ladder only resets after [flap_window] healthy
    seconds. *)
-let schedule_respawn t b =
+let schedule_respawn b =
   b.Backend.respawn_at <-
     Unix.gettimeofday ()
     +. Pn_util.Backoff.delay ~base:0.05 ~cap:2.0
          ~attempt:b.Backend.respawn_attempt ();
   b.Backend.respawn_attempt <-
-    min (b.Backend.respawn_attempt + 1) t.config.respawn_cap
+    min (b.Backend.respawn_attempt + 1) respawn_cap
 
 let kill_backend b signal =
   let pid = Atomic.get b.Backend.pid in
@@ -822,7 +723,7 @@ let spawn_backend t b =
       check (attempts + 1)
   in
   check 0;
-  let port = pick_port t.config.host in
+  let port = Listener.free_port t.config.host in
   let argv = t.config.backend_argv ~index:b.Backend.index ~port in
   if Array.length argv = 0 then invalid_arg "Router: backend_argv is empty";
   let env = t.config.backend_env ~index:b.Backend.index in
@@ -868,7 +769,7 @@ let reap t =
                 m "backend %d (pid %d) exited; scheduling respawn"
                   b.Backend.index pid);
             Atomic.set b.Backend.state Backend.Dead;
-            schedule_respawn t b
+            schedule_respawn b
           end
         end
       end)
@@ -888,7 +789,7 @@ let step t b now =
         Log.err (fun m ->
             m "spawning backend %d failed: %s" b.Backend.index
               (Printexc.to_string e));
-        schedule_respawn t b
+        schedule_respawn b
     end
   | Backend.Starting ->
     if probe t b then begin
@@ -911,7 +812,7 @@ let step t b now =
       b.Backend.consec_failures <- 0;
       if
         b.Backend.respawn_attempt > 0
-        && now -. b.Backend.healthy_since >= t.config.flap_window
+        && now -. b.Backend.healthy_since >= flap_window
       then b.Backend.respawn_attempt <- 0
     end
     else begin
@@ -951,7 +852,7 @@ let drain_backends t =
       let pid = Atomic.get b.Backend.pid in
       if pid > 0 then begin
         (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        let deadline = Unix.gettimeofday () +. t.config.drain_budget in
+        let deadline = Unix.gettimeofday () +. drain_budget in
         let rec waitloop killed =
           match Unix.waitpid [ Unix.WNOHANG ] pid with
           | 0, _ ->
@@ -995,143 +896,63 @@ let supervisor t () =
   drain_backends t
 
 (* ------------------------------------------------------------------ *)
-(* Listener domain                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let admission_load t = Atomic.get t.queued + Atomic.get t.rtel.in_flight
-
-let listener t () =
-  let rec loop () =
-    check_workers t;
-    if Atomic.get t.stop_req then ()
-    else begin
-      (match Unix.select [ t.lfd ] [] [] 0.05 with
-      | [ _ ], _, _ -> (
-        match Unix.accept ~cloexec:true t.lfd with
-        | fd, _ ->
-          (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout
-           with Unix.Unix_error _ -> ());
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          ignore (Atomic.fetch_and_add t.rtel.connections 1);
-          if admission_load t >= t.config.queue_limit then begin
-            ignore (Atomic.fetch_and_add t.rtel.shed_overload 1);
-            Http.deny fd ~status:429 ~retry_after:1
-              ~body:"over capacity; retry later\n";
-            try Unix.close fd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            ignore (Atomic.fetch_and_add t.queued 1);
-            Q.push t.queue (Some fd)
-          end
-        | exception
-            Unix.Unix_error
-              ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
-                _,
-                _ ) ->
-          ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-          Atomic.set t.stop_req true)
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-        Atomic.set t.stop_req true);
-      loop ()
-    end
-  in
-  loop ();
-  (* Drain order matters: stop accepting, finish queued + in-flight
-     client requests (which may still be proxying), and only then let
-     the supervisor take the backend fleet down. *)
-  Log.info (fun m -> m "router draining: %d worker domain(s)" t.config.domains);
-  Atomic.set t.draining true;
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-  Array.iter (fun _ -> Q.push t.queue None) t.workers;
-  Array.iter (fun ws -> Domain.join ws.domain) t.workers;
-  Atomic.set t.stop_backends true;
-  Log.info (fun m -> m "router drained")
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let start ?(config = default_config) () =
-  if config.domains < 1 || config.domains > 64 then
-    invalid_arg "Router.start: domains must be in 1..64";
+  let listener =
+    Listener.create ~who:"Router"
+      {
+        Listener.host = config.host;
+        port = config.port;
+        domains = config.domains;
+        idle_timeout = config.idle_timeout;
+        backlog;
+        queue_limit = config.queue_limit;
+      }
+  in
   if config.backends < 1 || config.backends > 64 then
     invalid_arg "Router.start: backends must be in 1..64";
-  if config.port < 0 || config.port > 65535 then
-    invalid_arg "Router.start: port must be in 0..65535";
   if config.max_body <= 0 then invalid_arg "Router.start: max_body";
-  if config.idle_timeout <= 0.0 then invalid_arg "Router.start: idle_timeout";
-  if config.proxy_timeout <= 0.0 then invalid_arg "Router.start: proxy_timeout";
   if config.probe_interval <= 0.0 then
     invalid_arg "Router.start: probe_interval";
-  if config.probe_timeout <= 0.0 then invalid_arg "Router.start: probe_timeout";
   if config.fail_threshold < 1 then invalid_arg "Router.start: fail_threshold";
   if config.start_budget <= 0.0 then invalid_arg "Router.start: start_budget";
-  if config.respawn_cap < 0 then invalid_arg "Router.start: respawn_cap";
-  if config.backlog < 1 || config.backlog > 65535 then
-    invalid_arg "Router.start: backlog must be in 1..65535";
-  if config.queue_limit < 1 then invalid_arg "Router.start: queue_limit";
   if Array.length (config.backend_argv ~index:0 ~port:0) = 0 then
     invalid_arg "Router.start: backend_argv";
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   let t =
-    try
-      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-      Unix.bind lfd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lfd config.backlog;
-      let port =
-        match Unix.getsockname lfd with
-        | Unix.ADDR_INET (_, p) -> p
-        | Unix.ADDR_UNIX _ -> assert false
-      in
-      {
-        config;
-        lfd;
-        port;
-        backends = Array.init config.backends Backend.make;
-        queue = Q.create ();
-        queued = Atomic.make 0;
-        stop_req = Atomic.make false;
-        draining = Atomic.make false;
-        stop_backends = Atomic.make false;
-        chld = Atomic.make false;
-        rr = Atomic.make 0;
-        rtel = make_rtel ();
-        admin = Mutex.create ();
-        workers = [||];
-        listener = None;
-        supervisor = None;
-      }
-    with e ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      raise e
+    {
+      config;
+      listener;
+      backends = Array.init config.backends Backend.make;
+      stop_backends = Atomic.make false;
+      chld = Atomic.make false;
+      rr = Atomic.make 0;
+      rtel = make_rtel ();
+      admin = Mutex.create ();
+      supervisor = None;
+    }
   in
-  t.workers <- Array.init config.domains (fun i -> spawn_worker t i);
+  (* Drain order matters: the listener finishes queued and in-flight
+     client requests (which may still be proxying) before [after_drain]
+     lets the supervisor take the backend fleet down. *)
+  Listener.start listener
+    ~handle:(fun ~index:_ conn -> handle t conn)
+    ~in_flight:(fun () -> Atomic.get t.rtel.in_flight)
+    ~tick:ignore
+    ~after_drain:(fun () -> Atomic.set t.stop_backends true);
   t.supervisor <- Some (Domain.spawn (supervisor t));
-  t.listener <- Some (Domain.spawn (listener t));
   Log.info (fun m ->
       m "router listening on %s:%d (%d worker domain(s), %d backend(s))"
-        config.host t.port config.domains config.backends);
+        config.host (port t) config.domains config.backends);
   t
 
 let join t =
-  (match t.listener with
-  | None -> ()
-  | Some d ->
-    t.listener <- None;
-    Domain.join d);
+  Listener.join t.listener;
   match t.supervisor with
   | None -> ()
   | Some d ->
     t.supervisor <- None;
-    (* If the listener never ran (or already joined), make sure the
-       supervisor is told to stop before we block on it. *)
-    if Atomic.get t.stop_req then Atomic.set t.stop_backends true;
     Domain.join d
 
 let stop t =

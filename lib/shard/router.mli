@@ -17,6 +17,9 @@
       the stuck shard (survivors keep their old generation).
     - [GET /admin/backends]: per-shard state dump (JSON).
 
+    Client connections are accepted, admitted and drained by a
+    {!Pn_server.Listener}, the same one the daemon uses.
+
     Supervision: health probes every [probe_interval] drive the
     per-shard state machine (see {!Backend}); exited shards are reaped
     (SIGCHLD interrupts the supervisor tick) and respawned with
@@ -39,15 +42,9 @@ type config = {
       (** [None] inherits the router's environment *)
   max_body : int;
   idle_timeout : float;
-  proxy_timeout : float;
   probe_interval : float;
-  probe_timeout : float;
   fail_threshold : int;
   start_budget : float;
-  flap_window : float;
-  respawn_cap : int;
-  drain_budget : float;
-  backlog : int;
   queue_limit : int;
 }
 

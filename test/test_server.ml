@@ -536,6 +536,9 @@ let test_config_validation () =
       ( "zero queue limit",
         Invalid_argument "Server.start: queue_limit",
         fun c -> { c with Server.queue_limit = 0 } );
+      ( "nan idle timeout",
+        Invalid_argument "Server.start: idle_timeout",
+        fun c -> { c with Server.idle_timeout = nan } );
     ]
 
 (* ------------------------------------------------------------------ *)

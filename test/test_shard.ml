@@ -448,6 +448,60 @@ let test_rollout_warm_failure () =
          healthy and still serving its old generation. *)
       Alcotest.(check int) "fleet still 3/3 healthy" 3 (Router.healthy_count t))
 
+(* ------------------------------------------------------------------ *)
+(* Admission control at the router                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_router_admission () =
+  let _, body, expected, _ = Lazy.force Test_server.fixture in
+  let dir, _reg = make_registry () in
+  let t =
+    Router.start
+      ~config:{ (router_config ~backends:1 dir) with queue_limit = 1 }
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop t;
+      rm_rf dir)
+    (fun () ->
+      wait_until "fleet healthy" (fun () -> Router.healthy_count t = 1);
+      let port = Router.port t in
+      (* Client A holds the only admission slot: head plus half the body
+         keeps its /predict in flight at the router. *)
+      let a = Client.connect port in
+      Fun.protect
+        ~finally:(fun () -> Client.close a)
+        (fun () ->
+          let cut = String.length body / 2 in
+          Client.send a
+            (Printf.sprintf
+               "POST /predict HTTP/1.1\r\nhost: t\r\ncontent-length: %d\r\n\r\n%s"
+               (String.length body) (String.sub body 0 cut));
+          Unix.sleepf 0.3;
+          List.iter
+            (fun name ->
+              let c = Client.connect port in
+              Fun.protect
+                ~finally:(fun () -> Client.close c)
+                (fun () ->
+                  let s, hs, _ = Client.read_response c in
+                  Alcotest.(check int) (name ^ " refused") 429 s;
+                  Alcotest.(check (option string))
+                    (name ^ " carries retry-after") (Some "1")
+                    (List.assoc_opt "retry-after" hs)))
+            [ "first overflow"; "second overflow" ];
+          Client.send a (String.sub body cut (String.length body - cut));
+          let s, _, got = Client.read_response a in
+          Alcotest.(check int) "admitted request completes" 200 s;
+          Alcotest.(check string) "admitted request byte-identical" expected
+            got);
+      (* A's close frees the slot; give the in-flight decrement a beat. *)
+      Unix.sleepf 0.2;
+      Alcotest.(check (float 0.0))
+        "sheds counted as overload" 2.0
+        (metric (scrape t) "pnrule_router_shed_total{reason=\"overload\"}"))
+
 let suite =
   [
     Alcotest.test_case "sharded e2e: bytes, merged metrics, rolling rollout"
@@ -460,4 +514,6 @@ let suite =
       test_all_backends_down;
     Alcotest.test_case "rolling rollout aborts on warm failure" `Quick
       test_rollout_warm_failure;
+    Alcotest.test_case "router sheds 429 past its queue limit" `Quick
+      test_router_admission;
   ]
