@@ -165,17 +165,14 @@ let observe t ~slot ~n ~(batch : Pnrule.Saved.batch) ~actuals =
           if a >= 0 && a <> ep.target then fp.(k) <- fp.(k) + 1
         end
       done
-    | Pnrule.Saved.Per_rule fm ->
-      let nl = min (Array.length fm) nr in
+    | Pnrule.Saved.Per_rule cov ->
+      let nl = min (Array.length cov) nr in
       for l = 0 to nl - 1 do
-        let fl = fm.(l) in
-        for i = 0 to n - 1 do
-          if Array.unsafe_get fl i >= 0 then begin
-            fired.(l) <- fired.(l) + 1;
-            let a = Array.unsafe_get actuals i in
-            if a >= 0 && a <> ep.target then fp.(l) <- fp.(l) + 1
-          end
-        done
+        fired.(l) <- Pn_util.Bitset.count cov.(l);
+        if !labeled > 0 then
+          Pn_util.Bitset.iter cov.(l) (fun i ->
+              let a = Array.unsafe_get actuals i in
+              if a >= 0 && a <> ep.target then fp.(l) <- fp.(l) + 1)
       done);
     let s = ep.slots.(slot) in
     bump s.s_rows n;

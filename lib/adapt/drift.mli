@@ -77,8 +77,8 @@ val set_model :
     into [slot]'s counters: [n] rows, their per-rule firings from
     [batch.fires], and — for rows with [actuals.(i) >= 0] — labeled and
     false-positive tallies. Each slot must have a single writer (the
-    worker that owns it). Never blocks, never allocates more than two
-    small arrays. *)
+    worker that owns it). Never blocks; allocates O(rules) words,
+    never O(rows). *)
 val observe :
   t -> slot:int -> n:int -> batch:Pnrule.Saved.batch -> actuals:int array -> unit
 

@@ -30,16 +30,12 @@ let derive ?pool (sm : Pnrule.Saved.t) ds =
       end
     done
   | Pnrule.Saved.Boosted e ->
-    let fm = Pnrule.Ensemble.eval_matches ?pool e ds in
     Array.iteri
-      (fun l fl ->
-        for i = 0 to n - 1 do
-          if fl.(i) >= 0 then begin
-            fired.(l) <- fired.(l) + 1;
-            if Pn_data.Dataset.label ds i = target then hits.(l) <- hits.(l) + 1
-          end
-        done)
-      fm);
+      (fun l cov ->
+        fired.(l) <- Pn_util.Bitset.count cov;
+        Pn_util.Bitset.iter cov (fun i ->
+            if Pn_data.Dataset.label ds i = target then hits.(l) <- hits.(l) + 1))
+      (Pnrule.Ensemble.eval_matches ?pool e ds));
   let nf = float_of_int n in
   {
     rates = Array.map (fun c -> float_of_int c /. nf) fired;

@@ -82,13 +82,14 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
     end
   in
   normalize ();
-  let weights ~covers =
+  (* Coverage arrives as a bitset; walking its set bits visits the
+     covered records in index order, so every sum below adds the same
+     floats in the same order as a scan of all records would. *)
+  let weights cov =
     let pos = ref 0.0 and neg = ref 0.0 in
-    for i = 0 to n - 1 do
-      if covers i then
+    Pn_util.Bitset.iter cov (fun i ->
         if Pn_data.Dataset.label ds i = target then pos := !pos +. w.(i)
-        else neg := !neg +. w.(i)
-    done;
+        else neg := !neg +. w.(i));
     (!pos, !neg)
   in
   (* SLIPPER's smoothing: ½·(1/n) keeps confidences finite on pure
@@ -99,15 +100,14 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
   in
   (* Covered records move as in real AdaBoost: correct ones (target
      under a positive-confidence rule) down, mistakes up. *)
-  let reweight ~covers alpha =
+  let reweight cov alpha =
     let up = exp alpha and down = exp (-.alpha) in
-    for i = 0 to n - 1 do
-      if covers i then
-        w.(i) <- w.(i) *. (if Pn_data.Dataset.label ds i = target then down else up)
-    done;
+    Pn_util.Bitset.iter cov (fun i ->
+        w.(i) <- w.(i) *. (if Pn_data.Dataset.label ds i = target then down else up));
     normalize ()
   in
-  let all_pos, all_neg = weights ~covers:(fun _ -> true) in
+  let everything = Pn_util.Bitset.full n in
+  let all_pos, all_neg = weights everything in
   if all_pos <= 0.0 then
     invalid_arg "Pnrule.Ensemble.train: no target-class weight in training data";
   (* Round 0 is the default rule: it covers everything, so its (for a
@@ -115,7 +115,7 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
      and its reweighting is what lifts the rare class into view for the
      rule rounds — boosting's own form of stratification. *)
   let bias = confidence (all_pos, all_neg) in
-  reweight ~covers:(fun _ -> true) bias;
+  reweight everything bias;
   let master = Pn_util.Rng.create sampling.Pn_induct.Sampling.seed in
   let members = ref [] in
   for round = 1 to params.rounds do
@@ -132,17 +132,18 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
         (* Confidence and reweighting use the rule's coverage of the
            FULL weighted set (one compiled pass), not just the round's
            sample — the sample only steered the search. *)
-        let fm = Pn_rules.Compiled.first_match_all [| rule |] ds in
-        let covers i = fm.(i) >= 0 in
-        let cov = weights ~covers in
-        let alpha = confidence cov in
+        let cov =
+          (Pn_rules.Compiled.cover (Pn_rules.Compiled.compile [| [| rule |] |]) ds).(0)
+        in
+        let cov_w = weights cov in
+        let alpha = confidence cov_w in
         if alpha > 0.0 then begin
           Log.debug (fun m ->
               m "round %d: %s  (W+=%.2f W-=%.2f alpha=%.3f)" round
                 (Pn_rules.Rule.to_string ds.Pn_data.Dataset.attrs rule)
-                (fst cov) (snd cov) alpha);
+                (fst cov_w) (snd cov_w) alpha);
           members := { rule; weight = alpha } :: !members;
-          reweight ~covers alpha
+          reweight cov alpha
         end
       end
     end
@@ -166,28 +167,27 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
 
 (* Every member becomes a one-rule list of a single compiled program:
    conditions shared between members evaluate once, and each member's
-   coverage bitset resolves word-at-a-time. The vote itself is then one
-   columnar float add per member. *)
+   coverage resolves word-at-a-time into a bitset. The vote then walks
+   each member's set bits. *)
 let compiled t =
   Pn_rules.Compiled.compile (Array.map (fun m -> [| m.rule |]) t.members)
 
-(* Raw per-member coverage: one first-match array per member, [||] for
-   the empty ensemble. Exposed so the serving path can derive scores
-   AND per-rule firing counts from a single eval. *)
+(* Raw per-member coverage: one bitset per member, [||] for the empty
+   ensemble. Exposed so the serving path can derive scores AND per-rule
+   firing counts from a single eval. *)
 let eval_matches ?pool t ds =
   if Array.length t.members = 0 then [||]
-  else Pn_rules.Compiled.eval ?pool (compiled t) ds
+  else Pn_rules.Compiled.cover ?pool (compiled t) ds
 
-let scores_of_matches t ~n fm =
+(* One member at a time, in member order, adding its weight to every
+   record it covers: each record's score is the same float sum, in the
+   same order, as the per-record reference walk. *)
+let scores_of_matches t ~n cov =
   let out = Array.make n t.bias in
   Array.iteri
     (fun l m ->
-      let fl = fm.(l) in
       let weight = m.weight in
-      for i = 0 to n - 1 do
-        if Array.unsafe_get fl i >= 0 then
-          Array.unsafe_set out i (Array.unsafe_get out i +. weight)
-      done)
+      Pn_util.Bitset.iter cov.(l) (fun i -> out.(i) <- out.(i) +. weight))
     t.members;
   out
 

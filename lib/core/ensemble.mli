@@ -12,9 +12,10 @@
 
     Serving compiles the members into the bitset engine — one
     single-rule list per member, conditions deduplicated across
-    members, coverage resolved word-at-a-time — so the weighted vote
-    costs a columnar add per member, never a per-record interpretive
-    rule walk. *)
+    members, coverage resolved word-at-a-time into one bitset per
+    member — so the weighted vote costs an add per covered record per
+    member, never a per-record interpretive rule walk, and a request
+    allocates [n/63] words per member rather than [n]. *)
 
 type member = { rule : Pn_rules.Rule.t; weight : float }
 
@@ -56,17 +57,21 @@ val train :
   t
 
 (** [eval_matches t ds] is the compiled engine's raw per-member
-    coverage: one first-match array per member ([>= 0] = covered), [[||]]
-    for the empty ensemble. One eval; {!scores_of_matches} folds it into
-    scores, and the serving path also counts per-member firings from it
-    for the drift monitor. *)
+    coverage ({!Pn_rules.Compiled.cover}): one bitset per member, bit
+    [i] set when the member's rule covers record [i], [[||]] for the
+    empty ensemble. One eval, [n/63] words per member; {!scores_of_matches}
+    folds it into scores, and the serving path also counts per-member
+    firings from it for the drift monitor. *)
 val eval_matches :
-  ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> int array array
+  ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> Pn_util.Bitset.t array
 
-(** [scores_of_matches t ~n fm] is the weighted vote
+(** [scores_of_matches t ~n cov] is the weighted vote
     (bias + Σ covering member weights) over [n] records given
-    {!eval_matches} output. *)
-val scores_of_matches : t -> n:int -> int array array -> float array
+    {!eval_matches} output. It adds one member's weight over that
+    member's set bits at a time, in member order, so every score is
+    the same float sum in the same order as a per-record walk of the
+    members. *)
+val scores_of_matches : t -> n:int -> Pn_util.Bitset.t array -> float array
 
 (** [score_all ?pool t ds] is each record's ensemble score
     (bias + Σ covering member weights), resolved through one compiled

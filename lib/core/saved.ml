@@ -12,7 +12,7 @@ type expectations = {
 
 type fires =
   | First_match of int array
-  | Per_rule of int array array
+  | Per_rule of Pn_util.Bitset.t array
 
 type batch = {
   preds : bool array;
@@ -97,13 +97,13 @@ let eval_batch ?pool ?(scores = false) t ds =
     let scores_v = if scores then Some (Array.init n score) else None in
     { preds; scores_v; fires = First_match pm }
   | Boosted e ->
-    let fm = Ensemble.eval_matches ?pool e ds in
-    let sv = Ensemble.scores_of_matches e ~n fm in
+    let cov = Ensemble.eval_matches ?pool e ds in
+    let sv = Ensemble.scores_of_matches e ~n cov in
     let thr = e.Ensemble.threshold in
     {
-      preds = Array.map (fun s -> s > thr) sv;
+      preds = Array.init n (fun i -> sv.(i) > thr);
       scores_v = (if scores then Some sv else None);
-      fires = Per_rule fm;
+      fires = Per_rule cov;
     }
 
 let evaluate ?pool t ds =

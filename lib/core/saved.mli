@@ -24,12 +24,12 @@ type expectations = {
 
 (** Per-record rule-firing evidence of one scored batch, in the shape
     the model kind produces for free: the first-match P-rule index per
-    record ([-1] = none) for a [Single] model, or one first-match array
-    per ensemble member ([>= 0] = the member covered the record) for a
-    [Boosted] one. *)
+    record ([-1] = none) for a [Single] model, or one coverage bitset
+    per ensemble member (bit [i] set = the member covered record [i],
+    length = the batch's row count) for a [Boosted] one. *)
 type fires =
   | First_match of int array
-  | Per_rule of int array array
+  | Per_rule of Pn_util.Bitset.t array
 
 type batch = {
   preds : bool array;

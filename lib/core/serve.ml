@@ -363,6 +363,13 @@ let predict_columnar_stream ?(policy = Pn_data.Ingest_report.Strict)
   in
   let r = corrupt (fun () -> Pn_data.Columnar.open_reader source) in
   let sch = Pn_data.Columnar.schema r in
+  (* The header's row count is verified against every group and the
+     footer, so checking it here enforces the row budget before a
+     single group is decoded or a group-sized buffer allocated. *)
+  (match max_rows with
+  | Some m when sch.Pn_data.Columnar.n_rows > m ->
+    raise (Limit (Printf.sprintf "input exceeds the row limit (%d rows)" m))
+  | Some _ | None -> ());
   let file_attrs = sch.Pn_data.Columnar.attrs in
   let names =
     Array.map (fun (a : Pn_data.Attribute.t) -> a.name) file_attrs
@@ -428,7 +435,7 @@ let predict_columnar_stream ?(policy = Pn_data.Ingest_report.Strict)
   let unknown_labels = ref 0 in
   let em = make_emitter ?pool ?observe ~scores ~model ~write () in
   em.em_header ();
-  let gs = sch.Pn_data.Columnar.group_size in
+  let gs = Pn_data.Columnar.group_capacity sch in
   let actuals = Array.make gs (-1) in
   let keep = Array.make gs true in
   let misses = Array.make n_attrs [] in
@@ -437,15 +444,9 @@ let predict_columnar_stream ?(policy = Pn_data.Ingest_report.Strict)
     match corrupt (fun () -> Pn_data.Columnar.read_group r) with
     | None -> ()
     | Some rows ->
-      (* Every decoded row counts against the row budget, as in the CSV
-         path. *)
       for _ = 1 to rows do
         Pn_data.Ingest_report.row_read ingest
       done;
-      (match max_rows with
-      | Some m when ingest.Pn_data.Ingest_report.rows_read > m ->
-        raise (Limit (Printf.sprintf "input exceeds the row limit (%d rows)" m))
-      | Some _ | None -> ());
       Array.fill keep 0 rows true;
       (* Row policy, column-major: a missing cell or an unknown
          categorical value fails / drops / queues the row for chunk-local

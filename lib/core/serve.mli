@@ -97,7 +97,9 @@ val predict_stream :
     Strict/Skip/Impute the same way. When the file carries labels they
     feed the confusion matrix, as a CSV "class" column would. Raises
     {!Error} (wrapping {!Pn_data.Columnar.Corrupt} as
-    ["columnar: ..."] ) and {!Limit} like the CSV core. *)
+    ["columnar: ..."] ) and {!Limit} like the CSV core — {!Limit} as
+    soon as the header declares more than [max_rows] rows, before any
+    group is decoded. *)
 val predict_columnar_stream :
   ?policy:Pn_data.Ingest_report.policy ->
   ?scores:bool ->

@@ -34,6 +34,11 @@ let width_of_arity arity =
 let groups_of_rows ~group_size n =
   if n = 0 then 0 else ((n - 1) / group_size) + 1
 
+(* Rows a per-group buffer must hold: a header may declare a group size
+   far above its row count (up to [max_group_size]), so buffers are
+   sized by both. *)
+let group_capacity sch = min sch.group_size sch.n_rows
+
 let rows_in_group sch g =
   if g < sch.n_groups - 1 then sch.group_size
   else sch.n_rows - (sch.group_size * (sch.n_groups - 1))
@@ -123,7 +128,7 @@ let write ?(group_size = default_group_size) ?missing sink (ds : Dataset.t) =
   sink (Buffer.contents hbuf);
   emit_block header;
   let n_groups = groups_of_rows ~group_size n in
-  let block = Buffer.create (group_size * 8) in
+  let block = Buffer.create (min group_size n * 8) in
   let lwidth = width_of_arity (Array.length ds.Dataset.classes + 1) in
   for g = 0 to n_groups - 1 do
     let base = g * group_size in
@@ -239,7 +244,7 @@ type reader = {
   src : Stream.source;
   sch : schema;
   mutable wanted : bool array;
-  (* Decode buffers, length [group_size], allocated at the first
+  (* Decode buffers, length [group_capacity sch], allocated at the first
      [read_group] (after [set_wanted]) and reused for every group. *)
   mutable cols : rcol array;
   mutable miss : bool array option array;
@@ -391,7 +396,7 @@ let set_wanted r mask =
   r.wanted <- Array.copy mask
 
 let prepare_buffers r =
-  let gs = r.sch.group_size in
+  let gs = group_capacity r.sch in
   r.cols <-
     Array.mapi
       (fun j (a : Attribute.t) ->
@@ -493,7 +498,7 @@ let read_group r =
               match r.miss.(j) with
               | Some m -> m
               | None ->
-                let m = Array.make r.sch.group_size false in
+                let m = Array.make (group_capacity r.sch) false in
                 r.miss.(j) <- Some m;
                 m
             in

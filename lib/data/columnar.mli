@@ -46,6 +46,11 @@ type schema = {
   attrs : Attribute.t array;
 }
 
+(** [group_capacity sch] is [min sch.group_size sch.n_rows]: the most
+    rows any group of the file holds, and so the length of every
+    per-group buffer the reader allocates. *)
+val group_capacity : schema -> int
+
 (** {1 Writing} *)
 
 (** [write sink ds] streams the encoded file through [sink] in block

@@ -1,5 +1,6 @@
 (* Compiled bitset engine: dedup conditions, evaluate each with one
-   columnar sweep into a bitset, resolve first-match word-at-a-time.
+   columnar sweep into a bitset, then resolve first-match or coverage
+   word-at-a-time.
    See compiled.mli for the contract; the per-record reference path in
    Rule_list/Condition is the oracle this must match bit-for-bit. *)
 
@@ -283,9 +284,42 @@ let resolve rules cond_words out ~lo ~len =
     incr k
   done
 
-let eval ?pool t ds =
+(* Coverage of one rule list over one chunk of records: bit [i] of
+   [out] is set when any rule matches record [i]. Word-major — each
+   output word ORs its rules' condition ANDs and is written once — so
+   no scratch bitset is needed; a word stops early once every record
+   in it is covered. An empty rule ANDs nothing, so it starts from the
+   chunk's valid-bit mask, which keeps the tail bits of the last word
+   zero. *)
+let union rules cond_words out ~lo ~len =
+  let nw = Bitset.words_for len in
+  let w0 = lo / bits in
+  let tail = len mod bits in
+  let n_rules = Array.length rules in
+  for j = 0 to nw - 1 do
+    let valid = if j = nw - 1 && tail <> 0 then (1 lsl tail) - 1 else -1 in
+    let acc = ref 0 and k = ref 0 in
+    while !acc <> valid && !k < n_rules do
+      let conds = Array.unsafe_get rules !k in
+      let h = ref valid in
+      for ci = 0 to Array.length conds - 1 do
+        let cw = Array.unsafe_get cond_words (Array.unsafe_get conds ci) in
+        h := !h land Array.unsafe_get cw (w0 + j)
+      done;
+      acc := !acc lor !h;
+      incr k
+    done;
+    Array.unsafe_set out (w0 + j) !acc
+  done
+
+(* The two phases [eval] and [cover] share. Phase 1: one bitset per
+   distinct condition, each job owning its own bitset. Phase 2: [per_chunk]
+   once per word-aligned chunk of records, each job owning that slice of
+   the outputs. Both phases write disjoint memory, so the result is
+   identical at any pool size. Nothing runs on an empty dataset or an
+   empty program. *)
+let sweep ?pool t ds per_chunk =
   let n = Dataset.n_records ds in
-  let out = Array.map (fun _ -> Array.make n (-1)) t.lists in
   if n > 0 && Array.length t.lists > 0 then begin
     let preps = Array.map (prepare ds) t.conditions in
     let pool =
@@ -293,10 +327,6 @@ let eval ?pool t ds =
     in
     let n_conds = Array.length preps in
     let cond_sets = Array.map (fun _ -> Bitset.create n) preps in
-    (* Phase 1: one bitset per distinct condition, each job owning its
-       own bitset. Phase 2: first-match resolution, each job owning a
-       word-aligned slice of the output arrays. Both phases write
-       disjoint memory, so the result is identical at any pool size. *)
     if n_conds > 0 then
       ignore
         (Pn_util.Pool.map_array pool n_conds (fun ci ->
@@ -306,11 +336,25 @@ let eval ?pool t ds =
     ignore
       (Pn_util.Pool.map_array pool n_chunks (fun chunk ->
            let lo = chunk * records_per_chunk in
-           let len = min records_per_chunk (n - lo) in
-           Array.iteri
-             (fun l rules -> resolve rules cond_words out.(l) ~lo ~len)
-             t.lists))
-  end;
+           per_chunk cond_words ~lo ~len:(min records_per_chunk (n - lo))))
+  end
+
+let eval ?pool t ds =
+  let n = Dataset.n_records ds in
+  let out = Array.map (fun _ -> Array.make n (-1)) t.lists in
+  sweep ?pool t ds (fun cond_words ~lo ~len ->
+      Array.iteri
+        (fun l rules -> resolve rules cond_words out.(l) ~lo ~len)
+        t.lists);
+  out
+
+let cover ?pool t ds =
+  let n = Dataset.n_records ds in
+  let out = Array.map (fun _ -> Bitset.create n) t.lists in
+  sweep ?pool t ds (fun cond_words ~lo ~len ->
+      Array.iteri
+        (fun l rules -> union rules cond_words (Bitset.words out.(l)) ~lo ~len)
+        t.lists);
   out
 
 let first_match_all ?pool rules ds = (eval ?pool (compile [| rules |]) ds).(0)

@@ -15,14 +15,20 @@
       pass already built it (the bitset is filled by scattering only
       the covered records, no per-record comparison at all), and fall
       back to direct comparison sweeps on fresh serving data;
-    + first-match resolution per rule list works word-at-a-time: AND the
-      condition bitsets of each rule into the not-yet-resolved mask,
-      commit the hits, clear them, and stop as soon as every record is
-      resolved.
+    + first-match resolution per rule list ({!eval}) works
+      word-at-a-time: AND the condition bitsets of each rule into the
+      not-yet-resolved mask, commit the hits, clear them, and stop as
+      soon as every record is resolved;
+    + coverage per rule list ({!cover}) is the same condition phase
+      followed by one OR of each rule's condition AND per output word,
+      so it yields one bitset per list — [n/63] words — where {!eval}
+      yields one [n]-entry int array per list. Callers that only ask
+      "did any rule of this list match" (a boosted ensemble's vote,
+      where every member is a one-rule list) use it.
 
     Evaluation fans across the domain pool in two phases — one job per
-    condition bitset, then one job per word-aligned chunk of the output
-    arrays. Every job writes disjoint memory, so results are
+    condition bitset, then one job per word-aligned chunk of the
+    outputs. Every job writes disjoint memory, so results are
     bit-identical at every pool size — and identical to the per-record
     reference path ([Rule_list.first_match]), which remains the oracle
     the property tests check against. *)
@@ -49,6 +55,14 @@ val n_distinct_conditions : t -> int
     size. Raises [Invalid_argument] if a condition's column kind
     disagrees with the dataset schema, like the reference path. *)
 val eval : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> int array array
+
+(** [cover ?pool t ds] is each compiled list's coverage: bit [i] of
+    [(cover t ds).(l)] is set when some rule of list [l] matches record
+    [i] (an empty rule matches every record), so it equals
+    [(eval t ds).(l).(i) >= 0]. Each bitset has length
+    [Dataset.n_records ds]. Shares {!eval}'s condition phase, pool
+    behaviour and exceptions. *)
+val cover : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> Pn_util.Bitset.t array
 
 (** [first_match_all ?pool rules ds] compiles and evaluates a single
     rule list: per-record first-match indices, [-1] for no match. *)

@@ -417,6 +417,10 @@ let metrics_text t =
            pnrule_feedback_reservoir_rows %d\n"
           s.Pn_adapt.Retrainer.reservoir_rows)
 
+(* The body stream's refill buffer: never larger than the body, so a
+   small request does not allocate a 64 KiB scratch. *)
+let stream_buf_size len = max 1 (min len 65536)
+
 (* Serving pools: each worker domain is already one lane of parallelism,
    and Pool.map_array does not support concurrent submitters — so every
    request scores sequentially in its worker domain. *)
@@ -496,7 +500,7 @@ let predict t conn (req : Http.request) ~index ~keep =
         in
         let reader = Http.body_reader conn ~length:len in
         let source =
-          Pn_data.Stream.of_refill (fun buf ->
+          Pn_data.Stream.of_refill ~buf_size:(stream_buf_size len) (fun buf ->
               guard ();
               reader buf)
         in
@@ -639,7 +643,7 @@ let feedback t conn (req : Http.request) ~index ~keep =
           in
           let reader = Http.body_reader conn ~length:len in
           let source =
-            Pn_data.Stream.of_refill (fun buf ->
+            Pn_data.Stream.of_refill ~buf_size:(stream_buf_size len) (fun buf ->
                 guard ();
                 reader buf)
           in

@@ -12,7 +12,7 @@ type conn = {
   read_fault : string option;
 }
 
-let make_conn ?(buf_size = 65536) ?(write_fault = "serve.chunk_write")
+let make_conn ?(buf_size = 16384) ?(write_fault = "serve.chunk_write")
     ?read_fault fd =
   if buf_size <= 0 then invalid_arg "Http.make_conn: buf_size";
   {
@@ -38,13 +38,12 @@ let take_io_retries c =
 (* Raw IO                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Refill the connection buffer; false means EOF. The socket carries
-   SO_RCVTIMEO, so a stalled peer surfaces as [Timeout], not a hung
-   worker. *)
-let refill c =
+(* One read of at most [want] bytes into [buf] at [off]; 0 means EOF.
+   The socket carries SO_RCVTIMEO, so a stalled peer surfaces as
+   [Timeout], not a hung worker. *)
+let read_into c buf off want =
   let rec go () =
     match
-      let want = Bytes.length c.rbuf in
       let want =
         (* Client-side conns (the router's proxy legs) carry a named
            read fault point so chaos runs can starve or kill the read
@@ -53,13 +52,9 @@ let refill c =
         | None -> want
         | Some p -> max 1 (Pn_util.Fault.cap p want)
       in
-      Unix.read c.fd c.rbuf 0 want
+      Unix.read c.fd buf off want
     with
-    | 0 -> false
-    | n ->
-      c.rpos <- 0;
-      c.rlen <- n;
-      true
+    | n -> n
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       (* Only fault-instrumented (client) conns count read retries:
          server-side [pnrule_io_retries_total] keeps its historical
@@ -72,6 +67,15 @@ let refill c =
       raise Disconnect
   in
   go ()
+
+(* Refill the connection buffer; false means EOF. *)
+let refill c =
+  match read_into c c.rbuf 0 (Bytes.length c.rbuf) with
+  | 0 -> false
+  | n ->
+    c.rpos <- 0;
+    c.rlen <- n;
+    true
 
 (* Transient write errors get a bounded, backed-off retry budget per
    write call (EINTR used to spin-retry unboundedly — an EINTR storm
@@ -349,19 +353,10 @@ let body_reader c ~length =
           c.rpos <- c.rpos + n;
           n
         end
-        else begin
-          let rec rd () =
-            match Unix.read c.fd buf 0 want with
-            | 0 -> raise Disconnect (* body shorter than Content-Length *)
-            | n -> n
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> rd ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              raise Timeout
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              raise Disconnect
-          in
-          rd ()
-        end
+        else
+          match read_into c buf 0 want with
+          | 0 -> raise Disconnect (* body shorter than Content-Length *)
+          | n -> n
       in
       remaining := !remaining - n;
       n
@@ -396,14 +391,22 @@ let add_head buf ~status ~content_type ~keep_alive extra =
   extra buf;
   Buffer.add_string buf "\r\n"
 
+(* Head and body leave in one write, from one buffer of exactly their
+   combined length: the body is copied once. *)
+let write_message c head body =
+  let hlen = Buffer.length head and blen = String.length body in
+  let out = Bytes.create (hlen + blen) in
+  Buffer.blit head 0 out 0 hlen;
+  Bytes.blit_string body 0 out hlen blen;
+  write_all c (Bytes.unsafe_to_string out)
+
 let respond c ?(content_type = "text/plain; charset=utf-8") ?(keep_alive = false)
     ?(headers = []) ~status ~body () =
-  let buf = Buffer.create (String.length body + 256) in
-  add_head buf ~status ~content_type ~keep_alive (fun buf ->
+  let head = Buffer.create 256 in
+  add_head head ~status ~content_type ~keep_alive (fun buf ->
       Printf.bprintf buf "content-length: %d\r\n" (String.length body);
       List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s\r\n" k v) headers);
-  Buffer.add_string buf body;
-  write_all c (Buffer.contents buf)
+  write_message c head body
 
 (* Pre-admission refusal, called from the listener domain on a socket
    that has no [conn] yet: one best-effort write of a tiny canned
@@ -529,30 +532,29 @@ let connect ?buf_size ?write_fault ?read_fault ~host ~port ~timeout () =
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let send_request c ~meth ~target ?(headers = []) ?body () =
-  let buf =
-    Buffer.create (match body with Some b -> String.length b + 256 | None -> 256)
-  in
-  Printf.bprintf buf "%s %s HTTP/1.1\r\n" meth target;
-  List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s\r\n" k v) headers;
+  let head = Buffer.create 256 in
+  Printf.bprintf head "%s %s HTTP/1.1\r\n" meth target;
+  List.iter (fun (k, v) -> Printf.bprintf head "%s: %s\r\n" k v) headers;
   (match body with
-  | Some b -> Printf.bprintf buf "content-length: %d\r\n" (String.length b)
+  | Some b -> Printf.bprintf head "content-length: %d\r\n" (String.length b)
   | None -> ());
-  Buffer.add_string buf "\r\n";
-  (match body with Some b -> Buffer.add_string buf b | None -> ());
-  write_all c (Buffer.contents buf)
+  Buffer.add_string head "\r\n";
+  write_message c head (Option.value body ~default:"")
 
-(* Exactly [n] body bytes; EOF first raises [Disconnect] (a backend
-   that died mid-response is a retryable IO failure, not a protocol
-   error). *)
+(* Exactly [n] bytes: whatever the connection buffer already holds,
+   then straight from the socket into the result. EOF first raises
+   [Disconnect] (a backend that died mid-response is a retryable IO
+   failure, not a protocol error). *)
 let read_exact c n =
   let out = Bytes.create n in
-  let off = ref 0 in
+  let off = min n (c.rlen - c.rpos) in
+  Bytes.blit c.rbuf c.rpos out 0 off;
+  c.rpos <- c.rpos + off;
+  let off = ref off in
   while !off < n do
-    if c.rpos >= c.rlen && not (refill c) then raise Disconnect;
-    let take = min (n - !off) (c.rlen - c.rpos) in
-    Bytes.blit c.rbuf c.rpos out !off take;
-    c.rpos <- c.rpos + take;
-    off := !off + take
+    match read_into c out !off (n - !off) with
+    | 0 -> raise Disconnect
+    | k -> off := !off + k
   done;
   Bytes.unsafe_to_string out
 

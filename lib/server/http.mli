@@ -23,8 +23,11 @@ exception Timeout
 type conn
 
 (** [make_conn fd] wraps an accepted socket. [buf_size] is the
-    per-connection read buffer (default 64 KiB). [write_fault] names the
-    fault point passed on every write (default ["serve.chunk_write"]);
+    per-connection read buffer (default 16 KiB, the response-head cap;
+    request heads are capped at 8 KiB, and body bytes past what the
+    buffer already holds are read straight into their destination).
+    [write_fault] names the fault point passed on every write (default
+    ["serve.chunk_write"]);
     [read_fault], when given, names one passed on every buffered read —
     the router's proxy legs use ["router.proxy_write"] /
     ["router.proxy_read"] so chaos runs can fail either direction of a
@@ -65,6 +68,13 @@ val header : request -> string -> string option
     {!Timeout}. [max_header] bounds the head size (default 8 KiB). *)
 val read_request : ?max_header:int -> conn -> request
 
+(** [read_exact conn n] is the next [n] bytes of the connection as one
+    string of exactly that length: what the read buffer already holds,
+    then the rest read straight from the socket into the result. Raises
+    {!Disconnect} if the peer closes first, {!Timeout} on a stalled
+    read. The router reads a proxied request body with it. *)
+val read_exact : conn -> int -> string
+
 (** [body_reader conn ~length] is a refill function that yields exactly
     [length] body bytes then 0, suitable for
     {!Pn_data.Stream.of_refill}. Raises {!Disconnect} if the peer closes
@@ -79,7 +89,8 @@ val wait_readable :
   conn -> timeout:float -> stop:(unit -> bool) -> [ `Readable | `Timeout | `Stopped ]
 
 (** [respond conn ~status ~body ()] writes a complete response with
-    [Content-Length]. [content_type] defaults to [text/plain].
+    [Content-Length], head and body in one write from one exact-size
+    buffer. [content_type] defaults to [text/plain].
     [keep_alive] (default false) selects the [Connection] header.
     [headers] appends extra response headers (lowercase names),
     e.g. [("retry-after", "1")] on a 503. *)
@@ -186,7 +197,8 @@ val connect :
 val close : conn -> unit
 
 (** [send_request c ~meth ~target ()] writes one request head (plus
-    [body], framed with [Content-Length], when given). [headers] are
+    [body], framed with [Content-Length], when given), head and body in
+    one write from one exact-size buffer. [headers] are
     written as-is; pass [("connection", "close")] for one-shot use. *)
 val send_request :
   conn ->

@@ -512,20 +512,6 @@ let observe t ~ep ~status =
   ignore (Atomic.fetch_and_add t.rtel.requests.(ep) 1);
   if status >= 400 then ignore (Atomic.fetch_and_add t.rtel.errors.(ep) 1)
 
-let read_body conn ~length =
-  let reader = Http.body_reader conn ~length in
-  let out = Buffer.create (min length 65536) in
-  let tmp = Bytes.create 65536 in
-  let rec go () =
-    let n = reader tmp in
-    if n > 0 then begin
-      Buffer.add_subbytes out tmp 0 n;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents out
-
 let encode_target req =
   let path =
     String.split_on_char '/' req.Http.path
@@ -535,8 +521,10 @@ let encode_target req =
   | [] -> path
   | q -> path ^ "?" ^ Http.encode_query q
 
-(* Proxy one scoring request: buffer the body (it must survive the
-   first shard dying mid-exchange), dispatch with failover, relay the
+(* Proxy one scoring request: buffer the body in one string of exactly
+   its length (it must survive the first shard dying mid-exchange; the
+   proxy leg writes it from one more exact-size buffer, so the router
+   copies each body twice), dispatch with failover, relay the
    winning response under Content-Length framing. The body bytes are
    relayed untouched, so predictions through the router are
    byte-identical to a direct backend (and to batch Serve). *)
@@ -571,7 +559,7 @@ let proxy t conn req ~ep ~keep =
       | Some e when String.lowercase_ascii e = "100-continue" ->
         Http.continue_100 conn
       | _ -> ());
-      match read_body conn ~length:len with
+      match Http.read_exact conn len with
       | exception (Http.Disconnect | Http.Timeout) ->
         (* The client vanished before the request was admitted. *)
         `Close

@@ -269,6 +269,83 @@ let test_drift_window_mechanics () =
   Alcotest.(check int) "fresh epoch detections" 0 s.D.detections;
   Alcotest.(check int) "total detections survive" 1 (D.detections_total m)
 
+(* Per_rule evidence: a boosted batch hands the monitor one coverage
+   bitset per member. Its firing and false-positive counts — and the
+   expectations derived through the same batch path — must equal a
+   per-record count of each member's coverage. Chunks of 1, 62, 63 and
+   64 rows hit the bitsets' tail word; two slots exercise the merge. *)
+let test_drift_boosted_counts () =
+  let train, _, _ = Lazy.force fixture in
+  let ens =
+    Pnrule.Ensemble.train
+      ~params:{ Pnrule.Ensemble.default_params with rounds = 8 }
+      train ~target
+  in
+  let sm = Pnrule.Saved.Boosted ens in
+  let nm = Pnrule.Saved.n_monitored sm in
+  Alcotest.(check bool) "ensemble has members" true (nm > 0);
+  let covers ds l i =
+    Pn_rules.Rule.matches ds ens.Pnrule.Ensemble.members.(l).Pnrule.Ensemble.rule i
+  in
+  let count n p =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      if p i then incr c
+    done;
+    !c
+  in
+  let exp = E.derive sm train in
+  let nt = Pn_data.Dataset.n_records train in
+  for l = 0 to nm - 1 do
+    let fired = count nt (covers train l) in
+    let hits =
+      count nt (fun i -> covers train l i && Pn_data.Dataset.label train i = target)
+    in
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "member %d expected rate" l)
+      (float_of_int fired /. float_of_int nt)
+      exp.rates.(l);
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "member %d expected precision" l)
+      (if fired = 0 then 0.0 else float_of_int hits /. float_of_int fired)
+      exp.precisions.(l)
+  done;
+  let m = D.create ~slots:2 () in
+  D.set_model m ~n_rules:nm ~target (Some exp);
+  let test = Pn_synth.Numerical.generate base_spec ~seed:403 ~n:2_000 in
+  let n = Pn_data.Dataset.n_records test in
+  let actuals =
+    Array.init n (fun i -> if i mod 3 = 0 then -1 else Pn_data.Dataset.label test i)
+  in
+  let lo = ref 0 and k = ref 0 in
+  List.iter
+    (fun len ->
+      let len = min len (n - !lo) in
+      let chunk = Pn_data.Dataset.subset test (Array.init len (fun i -> !lo + i)) in
+      let batch = Pnrule.Saved.eval_batch ~pool:Pn_util.Pool.sequential sm chunk in
+      D.observe m ~slot:(!k mod 2) ~n:len ~batch ~actuals:(Array.sub actuals !lo len);
+      lo := !lo + len;
+      incr k)
+    [ 1; 62; 63; 64; 700; n ];
+  let s = D.snapshot m in
+  let labeled = count n (fun i -> actuals.(i) >= 0) in
+  Alcotest.(check int) "rows" n s.D.rows;
+  Alcotest.(check int) "labeled rows" labeled s.D.labeled;
+  for l = 0 to nm - 1 do
+    let fired = count n (covers test l) in
+    let fp =
+      count n (fun i -> covers test l i && actuals.(i) >= 0 && actuals.(i) <> target)
+    in
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "member %d observed rate" l)
+      (float_of_int fired /. float_of_int n)
+      s.D.rules.(l).D.observed_rate;
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "member %d observed fp rate" l)
+      (float_of_int fp /. float_of_int labeled)
+      s.D.rules.(l).D.observed_fp_rate
+  done
+
 (* The false-positive channel: firing rates on-expectation, but labeled
    rows say the rule now fires on the wrong class. *)
 let test_drift_false_positive_channel () =
@@ -827,6 +904,8 @@ let suite =
       test_derive_and_v4_roundtrip;
     Alcotest.test_case "drift window mechanics and attribution" `Quick
       test_drift_window_mechanics;
+    Alcotest.test_case "drift counts boosted member coverage" `Quick
+      test_drift_boosted_counts;
     Alcotest.test_case "drift false-positive channel" `Quick
       test_drift_false_positive_channel;
     Alcotest.test_case "retrain cycle: one detection, one rollout" `Quick

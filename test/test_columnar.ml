@@ -423,6 +423,42 @@ let test_serve_limit_and_corrupt () =
       "wrapped as a columnar error" true
       (contains ~sub:"columnar:" msg)
 
+(* A header may declare a group size far above its row count: every
+   per-group buffer — the writer's block, the reader's decode buffers,
+   the serving core's label and keep arrays — is sized by the smaller
+   of the two. A 3-row file with 2^20-row groups is a few hundred bytes
+   and must cost about that much to write, decode and serve. Measured
+   in this domain only (the serving core runs on the sequential pool). *)
+let test_oversized_group_header () =
+  let ds, model = train_model ~seed:19 ~n:4_000 in
+  let small = D.subset ds [| 0; 1; 2 |] in
+  let mb = 1024.0 *. 1024.0 in
+  let bytes_of f = 8.0 *. Test_ensemble.allocated_words f in
+  let s = C.to_string ~group_size:(1 lsl 20) small in
+  let write = bytes_of (fun () -> C.to_string ~group_size:(1 lsl 20) small) in
+  Alcotest.(check bool)
+    (Printf.sprintf "write allocates %.0f bytes, under 1 MB" write)
+    true (write < mb);
+  let decoded = C.of_string s in
+  (* [compare], not [=]: row 0 carries a nan. *)
+  Alcotest.(check bool) "decodes to the same rows" true
+    (compare decoded.D.columns small.D.columns = 0
+    && decoded.D.labels = small.D.labels);
+  let decode = bytes_of (fun () -> C.of_string s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "decode allocates %.0f bytes, under 1 MB" decode)
+    true (decode < mb);
+  let serve =
+    bytes_of (fun () ->
+        Pnrule.Serve.predict_columnar_stream ~pool:Pn_util.Pool.sequential
+          ~model:(Pnrule.Saved.Single model)
+          ~source:(Pn_data.Stream.of_string s)
+          ~write:ignore ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "serve allocates %.0f bytes, under 1 MB" serve)
+    true (serve < mb)
+
 let suite =
   [
     Alcotest.test_case "round-trip 10k" `Quick test_roundtrip;
@@ -445,5 +481,7 @@ let suite =
       test_serve_missing_policies;
     Alcotest.test_case "serve: limit and corrupt" `Quick
       test_serve_limit_and_corrupt;
+    Alcotest.test_case "oversized group size allocates by row count" `Quick
+      test_oversized_group_header;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

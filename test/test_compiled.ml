@@ -167,6 +167,27 @@ let prop_covered (ds, build_cache, lists) =
       (RL.covered ds rl).V.idx = expect)
     lists
 
+(* [cover] is [eval >= 0], bit for bit, and leaves the unused tail bits
+   of the last word clear (a stray tail bit would show up in [count]). *)
+let cover_agrees ~pool prog ds =
+  let n = D.n_records ds in
+  Array.for_all2
+    (fun fl cl ->
+      let hits = ref 0 in
+      Pn_util.Bitset.length cl = n
+      && Array.for_all
+           (fun i ->
+             if fl.(i) >= 0 then incr hits;
+             Pn_util.Bitset.get cl i = (fl.(i) >= 0))
+           (Array.init n Fun.id)
+      && Pn_util.Bitset.count cl = !hits)
+    (C.eval ~pool prog ds) (C.cover ~pool prog ds)
+
+let prop_cover (ds, build_cache, lists) =
+  if build_cache then force_cache ds;
+  let prog = C.compile lists in
+  List.for_all (fun (_pname, pool) -> cover_agrees ~pool prog ds) (pools ())
+
 (* ------------------------------------------------------------------ *)
 (* Model batch path equivalence                                         *)
 (* ------------------------------------------------------------------ *)
@@ -345,12 +366,61 @@ let test_multi_chunk () =
         (C.eval ~pool (C.compile [| rules |]) ds).(0))
     (pools ())
 
+(* Coverage across chunk boundaries, including a list whose empty rule
+   covers every record and the program over zero lists. *)
+let test_cover_multi_chunk () =
+  List.iter
+    (fun n ->
+      let ds =
+        D.create ~attrs
+          ~columns:
+            [|
+              D.Num (Array.init n (fun i -> float_of_int (i mod 17)));
+              D.Num (Array.init n (fun i -> float_of_int ((i * 7) mod 23)));
+              D.Cat (Array.init n (fun i -> i mod 3));
+              D.Cat (Array.init n (fun i -> (i / 2) mod 2));
+            |]
+          ~labels:(Array.make n 0) ~classes ()
+      in
+      let le8 = Cond.Num_le { col = 0; threshold = 8.0 } in
+      let prog =
+        C.compile
+          [|
+            [| Rule.of_conditions [ le8; Cond.Cat_eq { col = 2; value = 1 } ] |];
+            [|
+              Rule.of_conditions [ Cond.Num_range { col = 1; lo = 3.0; hi = 11.0 } ];
+              Rule.of_conditions [ le8 ];
+            |];
+            [| Rule.of_conditions [ Cond.Cat_eq { col = 3; value = 0 } ]; Rule.empty |];
+            [||];
+          |]
+      in
+      List.iter
+        (fun (pname, pool) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, n=%d: cover == eval >= 0" pname n)
+            true (cover_agrees ~pool prog ds))
+        (pools ());
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d: empty rule covers all" n)
+        n
+        (Pn_util.Bitset.count (C.cover prog ds).(2)))
+    [ 4031; 4032; 4033; 9000 ];
+  let one =
+    D.create ~attrs
+      ~columns:[| D.Num [| 1.0 |]; D.Num [| 1.0 |]; D.Cat [| 0 |]; D.Cat [| 0 |] |]
+      ~labels:[| 0 |] ~classes ()
+  in
+  Alcotest.(check int) "no lists" 0 (Array.length (C.cover (C.compile [||]) one))
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:300 ~name:"compiled first_match == reference"
       scenario_arb prop_first_match;
     QCheck.Test.make ~count:300 ~name:"covered == reference filter" scenario_arb
       prop_covered;
+    QCheck.Test.make ~count:300 ~name:"cover == eval >= 0" scenario_arb
+      prop_cover;
     QCheck.Test.make ~count:300 ~name:"model batch == per-record reference"
       model_arb prop_model;
     QCheck.Test.make ~count:200 ~name:"multiclass batch == per-record reference"
@@ -361,5 +431,6 @@ let suite =
   [
     Alcotest.test_case "edge cases" `Quick test_edge_cases;
     Alcotest.test_case "multi-chunk parallel eval" `Quick test_multi_chunk;
+    Alcotest.test_case "multi-chunk cover" `Quick test_cover_multi_chunk;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_props

@@ -49,6 +49,58 @@ let test_compiled_matches_reference () =
         preds)
     [ train; test ]
 
+(* Words allocated by [f ()]: minor plus major, less what was promoted
+   (counted in both). The minor collections flush the counters, which
+   are only published per minor GC. *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* A boosted batch must allocate O(rows), not O(rows x members): the
+   vote reads one coverage bitset per member (n/63 words) where an
+   int array per member would cost n words each. 50 members over about
+   100 distinct conditions, as in a 100-round sampled ensemble. The
+   batch measures 5.5 words per row; the bound is twice that. *)
+let words_per_row_bound = 11.0
+
+let test_batch_allocation () =
+  let rows = 4096 in
+  let ds = skewed ~seed:36 ~n:rows in
+  let module C = Pn_rules.Condition in
+  let members =
+    Array.init 50 (fun k ->
+        let lo = float_of_int (2 * k) in
+        let conds =
+          [ C.Num_ge { col = 0; threshold = lo }; C.Num_le { col = 0; threshold = lo +. 30.0 } ]
+          @ if k mod 2 = 1 then [ C.Cat_eq { col = 1; value = k mod 3 } ] else []
+        in
+        { E.rule = Pn_rules.Rule.of_conditions conds; weight = 0.01 *. float_of_int (k - 25) })
+  in
+  let e =
+    {
+      E.target = 1;
+      classes = ds.D.classes;
+      attrs = ds.D.attrs;
+      members;
+      bias = -1.0;
+      threshold = 0.0;
+    }
+  in
+  let model = Sv.Boosted e in
+  let batch () = Sv.eval_batch ~pool:Pn_util.Pool.sequential ~scores:true model ds in
+  ignore (batch ());
+  let per_row = allocated_words batch /. float_of_int rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per row <= %.1f" per_row words_per_row_bound)
+    true
+    (per_row <= words_per_row_bound)
+
 (* ------------------------------------------------------------------ *)
 (* Serialize v3                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -98,8 +150,62 @@ let corruption_gen =
         return (String.sub s 0 keep) );
     ]
 
+(* A dataset over an arbitrary ensemble's schema: numeric cells drawn
+   from the generator's own thresholds (so rules do fire, nan and
+   infinities included), categorical codes from each dictionary. *)
+let dataset_gen (e : E.t) n =
+  let open QCheck.Gen in
+  let column (a : Pn_data.Attribute.t) =
+    match a.kind with
+    | Pn_data.Attribute.Numeric ->
+      array_repeat n
+        (oneofl [ 0.5; -1.5e300; 4e-320; 1.0; Float.infinity; Float.neg_infinity; Float.nan ])
+      >|= fun v -> D.Num v
+    | Pn_data.Attribute.Categorical values ->
+      array_repeat n (int_range 0 (Array.length values - 1)) >|= fun v -> D.Cat v
+  in
+  flatten_a (Array.map column e.E.attrs) >|= fun columns ->
+  D.create ~attrs:e.E.attrs ~columns ~labels:(Array.make n 0) ~classes:e.E.classes ()
+
+(* Sizes around the 63-bit word (empty, one record, 62/63/64, and one
+   past a 2048-record batch) so the coverage bitsets' tail word is hit
+   in every shape. *)
+let scored_gen =
+  let open QCheck.Gen in
+  ensemble_gen >>= fun e ->
+  flatten_l (List.map (dataset_gen e) [ 0; 1; 62; 63; 64; 2049 ]) >|= fun dss ->
+  (e, dss)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* The generator's weights mostly sum exactly in any order; decimal
+   weights do not, so the same members re-weighted 0.1, 0.2, ... also
+   pin the order of the additions. *)
+let decimal_weights e =
+  {
+    e with
+    E.members =
+      Array.mapi (fun k m -> { m with E.weight = 0.1 *. float_of_int (k + 1) }) e.E.members;
+    bias = 0.7;
+  }
+
 let qcheck_props =
   [
+    QCheck.Test.make ~count:60
+      ~name:"ensemble: coverage-bitset scores == per-record reference, bit for bit"
+      (QCheck.make scored_gen)
+      (fun (e, dss) ->
+        List.for_all
+          (fun e ->
+            List.for_all
+              (fun ds ->
+                let expect = reference_scores e ds in
+                same_bits expect (E.score_all ~pool:Pn_util.Pool.sequential e ds)
+                && same_bits expect (E.score_all e ds))
+              dss)
+          [ e; decimal_weights e ]);
     QCheck.Test.make ~count:300 ~name:"ensemble: v3 round-trip is a fixed point"
       (QCheck.make ensemble_gen)
       (fun e ->
@@ -186,6 +292,8 @@ let suite =
   [
     Alcotest.test_case "ensemble: compiled scorer matches reference" `Quick
       test_compiled_matches_reference;
+    Alcotest.test_case "ensemble: boosted batch allocates O(rows)" `Quick
+      test_batch_allocation;
     Alcotest.test_case "ensemble: v2 bytes load as Single" `Quick
       test_v2_loads_as_single;
     Alcotest.test_case "ensemble: of_string rejects v3" `Quick

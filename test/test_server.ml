@@ -383,6 +383,44 @@ let test_error_paths () =
         (metric_value m
            "pnrule_request_errors_total{endpoint=\"predict\"}"))
 
+(* The columnar row limit is enforced from the header's row count,
+   before any group is decoded: a body that declares 9 rows under the
+   same max_rows = 8 config — header only, no groups — is 413, not a
+   400 for the groups it lacks. *)
+let test_columnar_header_row_limit () =
+  let model, _, _, _ = Lazy.force fixture in
+  let config =
+    {
+      Server.default_config with
+      domains = 2;
+      chunk_size = 64;
+      max_body = 2048;
+      max_rows = 8;
+    }
+  in
+  let srv = boot ~config ~model () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let port = Server.port srv in
+      let nine =
+        Pn_synth.Numerical.generate (Pn_synth.Numerical.nsyn 1) ~seed:73 ~n:9
+      in
+      let pnc = Pn_data.Columnar.to_string nine in
+      (* magic (8 bytes), header length, header payload, header CRC *)
+      let hlen = Int32.to_int (String.get_int32_le pnc 8) in
+      let header_only = String.sub pnc 0 (8 + 4 + hlen + 4) in
+      let headers = [ ("content-type", "application/x-pnrule-columnar") ] in
+      let s, _, b =
+        one_shot port ~meth:"POST" ~path:"/predict" ~headers ~body:header_only ()
+      in
+      Alcotest.(check int) "9 declared rows over a limit of 8" 413 s;
+      Alcotest.(check bool) "names the limit" true (contains b "row limit");
+      (* The full 9-row body is refused the same way. *)
+      let s, _, b = one_shot port ~meth:"POST" ~path:"/predict" ~headers ~body:pnc () in
+      Alcotest.(check int) "full 9-row body" 413 s;
+      Alcotest.(check bool) "full body names the limit" true (contains b "row limit"))
+
 (* ------------------------------------------------------------------ *)
 (* Percent-encoding: every malformed escape is a deterministic 400      *)
 (* ------------------------------------------------------------------ *)
@@ -894,5 +932,7 @@ let suite =
       test_header_budget_boundary;
     Alcotest.test_case "malformed responses raise, never hang" `Quick
       test_malformed_responses;
+    Alcotest.test_case "columnar row limit is checked from the header" `Quick
+      test_columnar_header_row_limit;
   ]
   @ List.map QCheck_alcotest.to_alcotest url_qcheck_tests
