@@ -14,9 +14,9 @@ let default_scale = 0.2
    the default scale: [rows ~scale base] is exactly [base] when [scale]
    is the default 0.2 and shrinks or grows proportionally from there
    (with a floor so a tiny --scale still measures something). The name
-   keeps its base-size suffix at every scale — "pnrule-train-1m" stays
-   a million-row benchmark by default instead of silently becoming a
-   200k one — so re-runs merge into the same BENCH_grower.json entries,
+   keeps its base-size suffix at every scale — "pnrule-score-200k"
+   stays a 200k-row benchmark by default instead of silently becoming a
+   40k one — so re-runs merge into the same BENCH_grower.json entries,
    and the per-entry "scale" field records what each number was
    actually measured at. *)
 let rows ~scale base =
@@ -64,17 +64,12 @@ let field_token line key =
     else None
 
 (* Parse a snapshot previously written by [write_json] back into
-   (name, (ns, domains, scale)) entries with raw value strings. V1
-   snapshots carried scale/domains only at file level; entries missing
-   the per-entry fields inherit the file-level values seen above them,
-   so merging into the v2 schema keeps the conditions each number was
-   measured under. Anything foreign is ignored. *)
+   (name, (ns, domains, scale)) entries with raw value strings. Anything
+   foreign is ignored. *)
 let read_snapshot path =
   if not (Sys.file_exists path) then []
   else begin
     let ic = open_in path in
-    let file_scale = ref "null" in
-    let file_domains = ref "null" in
     let entries = ref [] in
     (try
        while true do
@@ -87,23 +82,10 @@ let read_snapshot path =
                else None)
          with
          | Some (name, value) ->
-           let domains =
-             Option.value (field_token line "domains") ~default:!file_domains
-           in
-           let sc =
-             Option.value (field_token line "scale") ~default:!file_scale
-           in
-           entries := (name, (value, domains, sc)) :: !entries
+           let field key = Option.value (field_token line key) ~default:"null" in
+           entries := (name, (value, field "domains", field "scale")) :: !entries
          | None -> ()
-         | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
-           if find_sub line "\"name\"" = None then begin
-             (match field_token line "scale" with
-             | Some v -> file_scale := v
-             | None -> ());
-             match field_token line "domains" with
-             | Some v -> file_domains := v
-             | None -> ()
-           end
+         | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
        done
      with End_of_file -> ());
     close_in ic;
@@ -255,7 +237,8 @@ let timing_benchmarks ~scale =
            one [check] (window close + per-rule scoring). The batch is
            scored outside the measurement — serving already pays that —
            so this is purely what --adapt adds per 10k rows. Budget:
-           <= 2% of serve-hot-loop-10k. *)
+           per row, <= 2% of perfbench's pnrule-direct closed_p50_ms
+           divided by its 256 rows per request. *)
         (let n10k = rows ~scale 10_000 in
          let sm = Pnrule.Saved.Single pn_model in
          let ds10k =
@@ -348,279 +331,7 @@ let timing_benchmarks ~scale =
   in
   Sys.remove csv200;
   Sys.remove pnc200;
-  (* Batch 3: the daemon's hot serving loop. One keep-alive connection
-     POSTs a 10k-row body per run and fully reads the chunked response,
-     so the measurement covers HTTP framing, the streaming decode/score
-     core and both directions of socket IO — the marginal cost of one
-     online request once the connection is warm. *)
-  let ds10 = Pn_synth.Numerical.generate spec ~seed:13 ~n:(rows ~scale 10_000) in
-  let csv10 = Filename.temp_file "pnrule_bench_" ".csv" in
-  Pn_data.Csv_io.save ds10 csv10;
-  let body = In_channel.with_open_bin csv10 In_channel.input_all in
-  Sys.remove csv10;
-  let server =
-    Pn_server.Server.start
-      ~config:{ Pn_server.Server.default_config with idle_timeout = 60.0 }
-      ~source:(Pn_server.Handler.Loader (fun () -> Pnrule.Saved.Single pn_model))
-      ()
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd
-    (Unix.ADDR_INET (Unix.inet_addr_loopback, Pn_server.Server.port server));
-  let request =
-    Printf.sprintf
-      "POST /predict HTTP/1.1\r\nhost: bench\r\ncontent-length: %d\r\n\r\n%s"
-      (String.length body) body
-  in
-  let rbuf = Bytes.create 65536 in
-  let rpos = ref 0 and rlen = ref 0 in
-  let refill () =
-    let n = Unix.read fd rbuf 0 (Bytes.length rbuf) in
-    if n = 0 then failwith "serve bench: connection closed";
-    rpos := 0;
-    rlen := n
-  in
-  let byte () =
-    if !rpos >= !rlen then refill ();
-    let c = Bytes.get rbuf !rpos in
-    incr rpos;
-    c
-  in
-  let line () =
-    let b = Buffer.create 32 in
-    let rec go () =
-      match byte () with
-      | '\n' -> ()
-      | '\r' -> go ()
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let one_request () =
-    let b = Bytes.unsafe_of_string request in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done;
-    let status = line () in
-    if String.length status < 12 || String.sub status 9 3 <> "200" then
-      failwith ("serve bench: " ^ status);
-    (* Small responses arrive with content-length framing (the server
-       only switches to chunked past its buffering threshold), so the
-       reader must handle both. *)
-    let chunked = ref false and content_length = ref (-1) in
-    let header_prefix h p =
-      String.length h >= String.length p
-      && String.lowercase_ascii (String.sub h 0 (String.length p)) = p
-    in
-    let rec headers () =
-      let h = line () in
-      if h <> "" then begin
-        if header_prefix h "transfer-encoding:" then chunked := true
-        else if header_prefix h "content-length:" then
-          content_length :=
-            int_of_string
-              (String.trim (String.sub h 15 (String.length h - 15)));
-        headers ()
-      end
-    in
-    headers ();
-    if !chunked then begin
-      let rec chunks () =
-        let size = int_of_string ("0x" ^ line ()) in
-        if size > 0 then begin
-          for _ = 1 to size do
-            ignore (byte ())
-          done;
-          ignore (line ());
-          chunks ()
-        end
-        else ignore (line ())
-      in
-      chunks ()
-    end
-    else begin
-      if !content_length < 0 then failwith "serve bench: no framing header";
-      for _ = 1 to !content_length do
-        ignore (byte ())
-      done
-    end
-  in
-  let batch3 =
-    run_tests
-      [ Test.make ~name:"serve-hot-loop-10k" (Staged.stage one_request) ]
-  in
-  Unix.close fd;
-  Pn_server.Server.stop server;
-  (* Batch 4: million-row training, the workload the sampling hooks
-     exist for. One wall-clocked run each instead of Bechamel —
-     repeated-run protocols would cost many minutes per estimate at
-     this size, and the effect under test (a 5x+ ratio between the
-     sampled and unsampled paths) dwarfs single-run noise. The sort
-     cache is prewarmed across all columns first so neither variant
-     pays the one-time argsort inside its measurement. *)
-  let n1m = rows ~scale 1_000_000 in
-  Printf.printf "\n== Million-row training (wall clock, %d rows) ==\n%!" n1m;
-  let ds1m = Pn_synth.Numerical.generate spec ~seed:14 ~n:n1m in
-  for col = 0 to Pn_data.Dataset.n_attrs ds1m - 1 do
-    match ds1m.Pn_data.Dataset.attrs.(col).Pn_data.Attribute.kind with
-    | Pn_data.Attribute.Numeric -> ignore (Pn_data.Dataset.sorted_order ds1m ~col)
-    | Pn_data.Attribute.Categorical _ -> ()
-  done;
-  let wall name f =
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    Printf.printf "%-32s %14.0f ns/run\n%!" name ns;
-    (name, Some ns)
-  in
-  let sampled =
-    {
-      Pn_induct.Sampling.instances =
-        Pn_induct.Sampling.Stratified { fraction = 0.1; min_per_class = 50 };
-      features = Pn_induct.Sampling.Sqrt_features;
-      seed = 7;
-    }
-  in
-  let b_sampled =
-    wall "pnrule-train-1m" (fun () ->
-        Pnrule.Learner.train ~sampling:sampled ds1m ~target)
-  in
-  let b_full =
-    wall "pnrule-train-1m-full" (fun () -> Pnrule.Learner.train ds1m ~target)
-  in
-  let b_boosted =
-    wall "boosted-train-1m" (fun () ->
-        Pnrule.Ensemble.train ~sampling:sampled ds1m ~target)
-  in
-  let batch4 = [ b_sampled; b_full; b_boosted ] in
-  (match batch4 with
-  | [ (_, Some t_sampled); (_, Some t_full); _ ] ->
-    Printf.printf "sampled vs full training speedup: %.1fx\n%!" (t_full /. t_sampled)
-  | _ -> ());
-  (* Batch 5: the sharded tier. The router supervises N real [pnrule
-     serve] processes and proxies over them; concurrent keep-alive
-     clients push the same 10k-row body through [POST /predict].
-     Wall-clocked like batch 4 — each measurement spawns and drains a
-     whole process fleet, so Bechamel's repeated-run protocol would
-     multiply minutes of fixture cost for noise that the per-request
-     average over [clients * reqs] requests already absorbs. Compare
-     serve-sharded-10k-1 against serve-hot-loop-10k for the proxy hop
-     tax, and the 2/4-backend variants against 1 for the scale-out win
-     (which needs free cores: on a single-core host the extra backends
-     only add scheduling overhead). *)
-  let batch5 =
-    let cli =
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/pnrule_cli.exe"
-    in
-    let variants = [ 1; 2; 4 ] in
-    let bench_name n = Printf.sprintf "serve-sharded-10k-%d" n in
-    if not (Sys.file_exists cli) then begin
-      Printf.printf
-        "\n== Sharded serving (skipped: %s not built; run dune build) ==\n%!"
-        cli;
-      List.map (fun n -> (bench_name n, None)) variants
-    end
-    else begin
-      Printf.printf "\n== Sharded serving (wall clock, 10k rows/request) ==\n%!";
-      let dir = Filename.temp_file "pnrule_bench_reg" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o700;
-      let reg = Pnrule.Registry.open_dir dir in
-      ignore (Pnrule.Registry.publish reg (Pnrule.Saved.Single pn_model));
-      let bench_backends n =
-        let name = bench_name n in
-        let config =
-          {
-            Pn_shard.Router.default_config with
-            backends = n;
-            domains = 2;
-            backend_argv =
-              (fun ~index:_ ~port ->
-                [|
-                  cli;
-                  "serve";
-                  "--registry";
-                  dir;
-                  "--host";
-                  "127.0.0.1";
-                  "--port";
-                  string_of_int port;
-                  "--domains";
-                  "1";
-                |]);
-          }
-        in
-        let t = Pn_shard.Router.start ~config () in
-        let deadline = Unix.gettimeofday () +. 60.0 in
-        while
-          Pn_shard.Router.healthy_count t < n
-          && Unix.gettimeofday () < deadline
-        do
-          Unix.sleepf 0.05
-        done;
-        if Pn_shard.Router.healthy_count t < n then begin
-          Pn_shard.Router.stop t;
-          failwith "sharded bench: fleet failed to become healthy"
-        end;
-        let port = Pn_shard.Router.port t in
-        let clients = 4 and reqs = 6 in
-        let run_client warm =
-          let c =
-            Pn_server.Http.connect ~host:"127.0.0.1" ~port ~timeout:60.0 ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Pn_server.Http.close c)
-            (fun () ->
-              for _ = 1 to if warm then 1 else reqs do
-                Pn_server.Http.send_request c ~meth:"POST" ~target:"/predict"
-                  ~body ();
-                let r = Pn_server.Http.read_response c in
-                if r.Pn_server.Http.status <> 200 then
-                  failwith
-                    (Printf.sprintf "sharded bench: HTTP %d"
-                       r.Pn_server.Http.status)
-              done)
-        in
-        (* One request per shard first so every backend has faulted in
-           its model pages before the clock starts. *)
-        for _ = 1 to n do
-          run_client true
-        done;
-        let t0 = Unix.gettimeofday () in
-        List.init clients (fun _ -> Domain.spawn (fun () -> run_client false))
-        |> List.iter Domain.join;
-        let ns =
-          (Unix.gettimeofday () -. t0)
-          *. 1e9
-          /. float_of_int (clients * reqs)
-        in
-        Pn_shard.Router.stop t;
-        Printf.printf "%-32s %14.0f ns/request (%d backends)\n%!" name ns n;
-        (name, Some ns)
-      in
-      let results = List.map bench_backends variants in
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-      (match (List.assoc_opt "serve-hot-loop-10k" batch3, results) with
-      | Some (Some hot), (_, Some s1) :: (_, Some s2) :: _ ->
-        Printf.printf
-          "proxy hop tax (sharded-1 vs hot-loop): %.2fx; 2-backend speedup \
-           vs sharded-1: %.2fx (meaningful only with >1 core)\n%!"
-          (s1 /. hot) (s1 /. s2)
-      | _ -> ());
-      results
-    end
-  in
-  let estimates = batch1 @ batch2 @ batch3 @ batch4 @ batch5 in
+  let estimates = batch1 @ batch2 in
   match !json_file with
   | Some path -> write_json ~path ~scale estimates
   | None -> ()

@@ -258,7 +258,7 @@ let train_cmd =
       | Some path ->
         let sm = Pnrule.Saved.Single model in
         let exp = Pn_adapt.Expectations.derive sm ds in
-        Pnrule.Serialize.save_saved_ex sm (Some exp) path;
+        Pnrule.Serialize.save ~expectations:exp sm path;
         Printf.printf "model written to %s (with drift expectations)\n" path
       | None -> ())
     | `Boosted -> (
@@ -273,7 +273,7 @@ let train_cmd =
       | Some path ->
         let sm = Pnrule.Saved.Boosted ensemble in
         let exp = Pn_adapt.Expectations.derive sm ds in
-        Pnrule.Serialize.save_saved_ex sm (Some exp) path;
+        Pnrule.Serialize.save ~expectations:exp sm path;
         Printf.printf "model written to %s (with drift expectations)\n" path
       | None -> ())
   in

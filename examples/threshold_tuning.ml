@@ -68,8 +68,8 @@ let () =
 
   (* 3. Persist and reload; predictions survive the round trip. *)
   let path = Filename.temp_file "alert_model" ".pn" in
-  Pnrule.Serialize.save model path;
-  let reloaded = Pnrule.Serialize.load path in
+  Pnrule.Serialize.save (Pnrule.Saved.Single model) path;
+  let reloaded = Pnrule.Serialize.load_saved path in
   Sys.remove path;
-  assert (Pnrule.Model.predict_all reloaded test = Pnrule.Model.predict_all model test);
+  assert (Pnrule.Saved.predict_all reloaded test = Pnrule.Model.predict_all model test);
   Format.printf "model round-tripped through %s@." (Filename.basename path)

@@ -68,7 +68,8 @@ val config : t -> config
 (** [set_model t ~n_rules ~target exp] atomically swaps in a fresh
     epoch for a newly served model: all counters, window baselines and
     PH scores reset ([detections_total] does not). [None] expectations
-    — a pre-v4 model file — leaves the monitor idle. Raises
+    — a model file without an expectations block — leaves the monitor
+    idle. Raises
     [Invalid_argument] when [exp]'s arrays do not cover [n_rules]. *)
 val set_model :
   t -> n_rules:int -> target:int -> Pnrule.Saved.expectations option -> unit

@@ -9,7 +9,7 @@
    Generation files are never rewritten in place — [publish] always
    allocates the next number — so a flip is a pointer swap and a
    rollback is the same swap in reverse, with every earlier generation
-   still on disk. The pointer write rides [Serialize.write_atomic]
+   still on disk. The pointer write rides [Pn_util.Atomic_file.write]
    under the [registry.flip] fault point: a crash mid-flip tears at
    most a temp file, and CURRENT keeps naming the old generation. *)
 
@@ -61,15 +61,15 @@ let current t =
 let set_current t g =
   if not (Sys.file_exists (gen_path t g)) then
     fail "registry %s: generation %d does not exist" t.dir g;
-  Serialize.write_atomic ~fault_point:"registry.flip"
-    (gen_file g ^ "\n")
+  Pn_util.Atomic_file.write ~fault_point:"registry.flip"
     (Filename.concat t.dir current_name)
+    (fun sink -> sink (gen_file g ^ "\n"))
 
 (* Transient errnos injected at [registry.load] get the same bounded
    backed-off retry as the production IO loops; anything else (Corrupt,
    Sys_error, a hard Injected) propagates to the caller's keep-the-old-
    generation policy. *)
-let load_gen_ex t g =
+let load_gen t g =
   let rec pass attempt =
     match Pn_util.Fault.check "registry.load" with
     | () -> ()
@@ -80,9 +80,7 @@ let load_gen_ex t g =
       pass (attempt + 1)
   in
   pass 0;
-  Serialize.load_saved_ex (gen_path t g)
-
-let load_gen t g = fst (load_gen_ex t g)
+  Serialize.load (gen_path t g)
 
 let next_above t g = List.find_opt (fun x -> x > g) (generations t)
 
@@ -91,11 +89,11 @@ let prev_below t g =
     (fun acc x -> if x < g then Some x else acc)
     None (generations t)
 
-let load_initial_ex t =
+let load_initial t =
   let gens = generations t in
   if gens = [] then fail "registry %s: no gen-N.model files" t.dir;
   let try_load g =
-    match load_gen_ex t g with
+    match load_gen t g with
     | m, exp -> Some (g, m, exp)
     | exception Serialize.Corrupt reason ->
       Log.warn (fun m ->
@@ -117,13 +115,9 @@ let load_initial_ex t =
   | Some r -> r
   | None -> fail "registry %s: no loadable generation" t.dir
 
-let load_initial t =
-  let g, m, _ = load_initial_ex t in
-  (g, m)
-
 let publish ?expectations ?fault_point t saved =
   let g = List.fold_left max 0 (generations t) + 1 in
-  Serialize.save_saved_ex ?fault_point saved expectations (gen_path t g);
+  Serialize.save ?fault_point ?expectations saved (gen_path t g);
   g
 
 (* The canary batch is synthetic but schema-exact: every column of the

@@ -13,8 +13,8 @@
     allocates the next number), so flipping {!set_current} forward is a
     rollout, flipping it backward is a rollback, and every earlier
     generation stays on disk for one-command recovery. The pointer
-    write reuses {!Serialize.write_atomic} under the [registry.flip]
-    fault point; {!load_gen} passes [registry.load]. A crash mid-flip
+    write goes through {!Pn_util.Atomic_file.write} under the
+    [registry.flip] fault point; {!load_gen} passes [registry.load]. A crash mid-flip
     leaves at most a temp file behind — [CURRENT] keeps naming the old
     generation, which is what a restart will serve. *)
 
@@ -50,24 +50,18 @@ val current : t -> int option
     (and [registry.flip] faults) propagate with [CURRENT] untouched. *)
 val set_current : t -> int -> unit
 
-(** [load_gen t g] reads and verifies generation [g]. Raises
+(** [load_gen t g] reads and verifies generation [g], with its
+    drift-expectations block when the file has one. Raises
     {!Serialize.Corrupt} / [Sys_error]; transient errnos injected at
     the [registry.load] fault point are retried with backoff. *)
-val load_gen : t -> int -> Saved.t
-
-(** [load_gen_ex t g] is {!load_gen} keeping the generation's v4
-    drift-expectations block when it has one. *)
-val load_gen_ex : t -> int -> Saved.t * Saved.expectations option
+val load_gen : t -> int -> Saved.t * Saved.expectations option
 
 (** [load_initial t] resolves what a booting daemon should serve: the
     generation [CURRENT] names if it loads, else the highest loadable
-    generation (scanning downward past corrupt files, each logged).
-    Raises {!Error} when the registry is empty or nothing loads. *)
-val load_initial : t -> int * Saved.t
-
-(** [load_initial_ex t] is {!load_initial} keeping the picked
-    generation's expectations block when present. *)
-val load_initial_ex : t -> int * Saved.t * Saved.expectations option
+    generation (scanning downward past corrupt files, each logged),
+    with that generation's expectations block when present. Raises
+    {!Error} when the registry is empty or nothing loads. *)
+val load_initial : t -> int * Saved.t * Saved.expectations option
 
 (** Smallest generation strictly above / largest strictly below [g] —
     the default rollout and rollback targets. *)
@@ -77,7 +71,7 @@ val prev_below : t -> int -> int option
 
 (** [publish t saved] writes [saved] as the next generation (atomic
     write protocol) and returns its number. Does not touch [CURRENT].
-    [expectations] adds the v4 drift baseline to the file;
+    [expectations] adds the drift baseline to the file;
     [fault_point] renames the write loop's fault point (default
     [serialize.write]) — the background retrainer publishes under
     [retrain.publish] so chaos tests can tear exactly this write. A

@@ -1,8 +1,9 @@
 (** What a model file can hold: a single two-phase PNrule list
-    ({!Model.t}, formats v1/v2) or a boosted ensemble ({!Ensemble.t},
-    format v3). The serving stack — {!Serve}, the daemon, the CLI — is
-    written against this type, so every model kind rides the same
-    streaming pipeline and the same compiled bitset scoring. *)
+    ({!Model.t}) or a boosted ensemble ({!Ensemble.t}), the two kinds
+    {!Serialize} reads and writes. The serving stack — {!Serve}, the
+    daemon, the CLI — is written against this type, so every model kind
+    rides the same streaming pipeline and the same compiled bitset
+    scoring. *)
 
 type t = Single of Model.t | Boosted of Ensemble.t
 
@@ -14,8 +15,8 @@ type t = Single of Model.t | Boosted of Ensemble.t
     rules are the members and [rates.(l)] is the fraction of rows
     member [l] covered. [precisions.(k)] is, among those firings, the
     fraction whose label was the target class; [support] is the number
-    of rows the baseline was derived from. Persisted with the model as
-    serialization format v4 ({!Serialize.save_saved_ex}). *)
+    of rows the baseline was derived from. Persisted with the model in
+    serialization format v4 ({!Serialize.save}). *)
 type expectations = {
   rates : float array;
   precisions : float array;

@@ -46,16 +46,9 @@ let write_schema buf ~target ~classes ~attrs =
              (Array.fold_left (fun acc v -> acc ^ " " ^ quote v) "" values)))
     attrs
 
-(* Both formats end with a CRC-32 footer over every byte above it;
-   [load] refuses a file whose body and footer disagree, which is what
-   lets hot reload tell a torn or bit-flipped file from a healthy one. *)
-let add_crc_footer buf =
-  Buffer.add_string buf
-    (Printf.sprintf "crc %08x\n" (Pn_util.Crc32.string (Buffer.contents buf)));
-  Buffer.contents buf
-
-(* Everything of a single model below the header line: the v2 payload,
-   shared verbatim by the v4 writer. *)
+(* The body of a single model: the schema, the decision parameters,
+   both rule lists and the ScoreMatrix. A v2 file is this body under
+   its header line. *)
 let write_single_body buf (m : Model.t) =
   write_schema buf ~target:m.Model.target ~classes:m.Model.classes
     ~attrs:m.Model.attrs;
@@ -74,6 +67,9 @@ let write_single_body buf (m : Model.t) =
       Buffer.add_char buf '\n')
     m.Model.scores
 
+(* The body of a boosted ensemble: the schema, the decision threshold,
+   the bias, and one weighted rule per member. A v3 file is this body
+   under its header and kind lines. *)
 let write_boosted_body buf (e : Ensemble.t) =
   write_schema buf ~target:e.Ensemble.target ~classes:e.Ensemble.classes
     ~attrs:e.Ensemble.attrs;
@@ -89,29 +85,6 @@ let write_boosted_body buf (e : Ensemble.t) =
       List.iter (write_condition buf) mb.Ensemble.rule.Pn_rules.Rule.conditions)
     e.Ensemble.members
 
-let to_string (m : Model.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "pnrule-model v2\n";
-  write_single_body buf m;
-  add_crc_footer buf
-
-(* v3 carries a boosted ensemble: same schema block as v2, then the
-   decision threshold, the bias, and one weighted rule per member. A
-   [Saved.Single] keeps writing v2 bytes, so files produced before v3
-   existed and files produced after are byte-identical. *)
-let string_of_saved = function
-  | Saved.Single m -> to_string m
-  | Saved.Boosted e ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "pnrule-model v3\nkind boosted\n";
-    write_boosted_body buf e;
-    add_crc_footer buf
-
-(* v4 is a v2/v3 payload plus a drift-expectations block, under an
-   explicit kind discriminator for both model kinds. Writing stays
-   opt-in: [string_of_saved] above keeps emitting v2/v3 bytes, so every
-   pre-v4 file and every file written without expectations is
-   byte-identical to what earlier releases produced. *)
 let write_expectations buf (e : Saved.expectations) =
   Buffer.add_string buf
     (Printf.sprintf "expectations %d\n" (Array.length e.Saved.rates));
@@ -122,34 +95,39 @@ let write_expectations buf (e : Saved.expectations) =
     e.Saved.rates;
   Buffer.add_string buf (Printf.sprintf "support %d\n" e.Saved.support)
 
-let string_of_saved_ex sm expectations =
-  match expectations with
-  | None -> string_of_saved sm
-  | Some exp ->
-    if Array.length exp.Saved.rates <> Array.length exp.Saved.precisions then
-      invalid_arg "Serialize.string_of_saved_ex: rates/precisions lengths differ";
-    if Array.length exp.Saved.rates <> Saved.n_monitored sm then
-      invalid_arg
-        "Serialize.string_of_saved_ex: expectations do not match the model's \
-         monitored rules";
-    let buf = Buffer.create 4096 in
-    (match sm with
-    | Saved.Single m ->
-      Buffer.add_string buf "pnrule-model v4\nkind pnrule\n";
-      write_single_body buf m
-    | Saved.Boosted e ->
-      Buffer.add_string buf "pnrule-model v4\nkind boosted\n";
-      write_boosted_body buf e);
-    write_expectations buf exp;
-    add_crc_footer buf
+(* v4: the kind line, the v2 or v3 body, the optional expectations
+   block, and a CRC-32 footer over every byte above it. [of_string]
+   refuses a file whose body and footer disagree, which is what lets
+   hot reload tell a torn or bit-flipped file from a healthy one. *)
+let to_string ?expectations sm =
+  Option.iter
+    (fun (exp : Saved.expectations) ->
+      if Array.length exp.Saved.rates <> Array.length exp.Saved.precisions then
+        invalid_arg "Serialize.to_string: rates/precisions lengths differ";
+      if Array.length exp.Saved.rates <> Saved.n_monitored sm then
+        invalid_arg
+          "Serialize.to_string: expectations do not match the model's \
+           monitored rules")
+    expectations;
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (Printf.sprintf "pnrule-model v4\nkind %s\n" (Saved.kind sm));
+  (match sm with
+  | Saved.Single m -> write_single_body buf m
+  | Saved.Boosted e -> write_boosted_body buf e);
+  Option.iter (write_expectations buf) expectations;
+  Buffer.add_string buf
+    (Printf.sprintf "crc %08x\n" (Pn_util.Crc32.string (Buffer.contents buf)));
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* A tiny token stream over whitespace-separated words, where quoted
-   OCaml string literals count as single tokens. *)
-type stream = { mutable tokens : string list }
+   OCaml string literals count as single tokens, read through a
+   cursor. *)
+type stream = { tokens : string array; mutable pos : int }
 
 let tokenize s =
   let n = String.length s in
@@ -186,14 +164,17 @@ let tokenize s =
       i := !j
     end
   done;
-  { tokens = List.rev !tokens }
+  { tokens = Array.of_list (List.rev !tokens); pos = 0 }
+
+let remaining st = Array.length st.tokens - st.pos
 
 let next st =
-  match st.tokens with
-  | [] -> fail "unexpected end of input"
-  | t :: rest ->
-    st.tokens <- rest;
-    t
+  if remaining st = 0 then fail "unexpected end of input";
+  let t = st.tokens.(st.pos) in
+  st.pos <- st.pos + 1;
+  t
+
+let peek_is st word = remaining st > 0 && String.equal st.tokens.(st.pos) word
 
 let expect st word =
   let t = next st in
@@ -222,45 +203,54 @@ let bool_tok st =
    before the parse fails. *)
 let count_tok st ~what =
   let v = int_tok st in
-  if v < 0 || v > List.length st.tokens then fail "implausible %s count %d" what v;
+  if v < 0 || v > remaining st then fail "implausible %s count %d" what v;
   v
 
-let read_condition st =
-  match next st with
-  | "cat" ->
-    let col = int_tok st in
+(* A condition must fit the schema read above it: scoring indexes the
+   column and, for [cat], the dictionary without further checks. *)
+let read_condition st (attrs : Pn_data.Attribute.t array) =
+  let kind = next st in
+  if not (List.mem kind [ "cat"; "le"; "ge"; "range" ]) then
+    fail "unknown condition kind %S" kind;
+  let col = int_tok st in
+  if col < 0 || col >= Array.length attrs then
+    fail "condition on column %d of %d" col (Array.length attrs);
+  match (kind, attrs.(col).kind) with
+  | "cat", Pn_data.Attribute.Categorical values ->
     let value = int_tok st in
+    if value < 0 || value >= Array.length values then
+      fail "categorical code %d of %d on column %d" value (Array.length values)
+        col;
     Pn_rules.Condition.Cat_eq { col; value }
-  | "le" ->
-    let col = int_tok st in
-    let threshold = float_tok st in
-    Pn_rules.Condition.Num_le { col; threshold }
-  | "ge" ->
-    let col = int_tok st in
-    let threshold = float_tok st in
-    Pn_rules.Condition.Num_ge { col; threshold }
-  | "range" ->
-    let col = int_tok st in
+  | "le", Pn_data.Attribute.Numeric ->
+    Pn_rules.Condition.Num_le { col; threshold = float_tok st }
+  | "ge", Pn_data.Attribute.Numeric ->
+    Pn_rules.Condition.Num_ge { col; threshold = float_tok st }
+  | "range", Pn_data.Attribute.Numeric ->
     let lo = float_tok st in
     let hi = float_tok st in
     Pn_rules.Condition.Num_range { col; lo; hi }
-  | other -> fail "unknown condition kind %S" other
+  | _ -> fail "%s condition does not fit the kind of column %d" kind col
 
-let read_rules st label =
+let read_conditions st attrs =
+  let k = count_tok st ~what:"condition" in
+  Pn_rules.Rule.of_conditions (List.init k (fun _ -> read_condition st attrs))
+
+let read_rules st attrs label =
   expect st label;
   let count = count_tok st ~what:"rule" in
   let rules =
     List.init count (fun _ ->
         expect st "rule";
-        let k = count_tok st ~what:"condition" in
-        Pn_rules.Rule.of_conditions (List.init k (fun _ -> read_condition st)))
+        read_conditions st attrs)
   in
   Pn_rules.Rule_list.of_list rules
 
-(* v2+ files end with "crc XXXXXXXX\n" over every byte above it. Checked
-   on the raw bytes, before tokenization: any flip or truncation
-   anywhere in the file — including inside string literals the tokenizer
-   would otherwise choke on — surfaces as this one clean error. *)
+(* Every file ends with "crc XXXXXXXX\n" over every byte above it,
+   exactly as the writer prints it. Checked on the raw bytes, before
+   tokenization: any flip or truncation anywhere in the file, including
+   inside string literals the tokenizer would otherwise choke on,
+   surfaces as this one clean error. *)
 let verify_crc s =
   let n = String.length s in
   if n < 2 || s.[n - 1] <> '\n' then fail "missing checksum footer";
@@ -268,15 +258,12 @@ let verify_crc s =
     match String.rindex_from_opt s (n - 2) '\n' with Some i -> i + 1 | None -> 0
   in
   let footer = String.sub s body_end (n - body_end) in
-  let stored =
-    try Scanf.sscanf footer "crc %x\n%!" Fun.id
-    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-      fail "malformed checksum footer %S" (String.trim footer)
+  let expected =
+    Printf.sprintf "crc %08x\n" (Pn_util.Crc32.string ~len:body_end s)
   in
-  let actual = Pn_util.Crc32.string ~len:body_end s in
-  if stored <> actual then
-    fail "checksum mismatch: footer says %08x, content hashes to %08x" stored
-      actual
+  if not (String.equal footer expected) then
+    fail "checksum footer %S does not match the content's %S"
+      (String.trim footer) (String.trim expected)
 
 let read_schema st =
   expect st "target";
@@ -299,16 +286,13 @@ let read_schema st =
   if target < 0 || target >= n_classes then fail "target class out of range";
   (target, classes, attrs)
 
-(* [consume_crc] eats the trailing "crc XXXXXXXX" tokens when the body
-   is the last block of the file (v2). v1 has no footer; in v4 the
-   expectations block follows, so the dispatcher consumes the footer. *)
-let read_single st ~consume_crc =
+let read_single st =
   let target, classes, attrs = read_schema st in
   expect st "decision";
   let score_threshold = float_tok st in
   let use_scoring = bool_tok st in
-  let p_rules = read_rules st "p_rules" in
-  let n_rules = read_rules st "n_rules" in
+  let p_rules = read_rules st attrs "p_rules" in
+  let n_rules = read_rules st attrs "n_rules" in
   expect st "scores";
   let rows = count_tok st ~what:"score row" in
   let cols = count_tok st ~what:"score column" in
@@ -319,10 +303,6 @@ let read_single st ~consume_crc =
   if rows <> Pn_rules.Rule_list.length p_rules then
     fail "score matrix height %d does not match %d P-rules" rows
       (Pn_rules.Rule_list.length p_rules);
-  if consume_crc then begin
-    expect st "crc";
-    ignore (next st)
-  end;
   {
     Model.target;
     classes;
@@ -345,10 +325,7 @@ let read_boosted st =
     Array.init count (fun _ ->
         expect st "member";
         let weight = float_tok st in
-        let k = count_tok st ~what:"condition" in
-        let rule =
-          Pn_rules.Rule.of_conditions (List.init k (fun _ -> read_condition st))
-        in
+        let rule = read_conditions st attrs in
         { Ensemble.rule; weight })
   in
   { Ensemble.target; classes; attrs; members; bias; threshold }
@@ -370,127 +347,54 @@ let read_expectations st ~monitored =
   if support < 0 then fail "negative expectations support %d" support;
   { Saved.rates; precisions; support }
 
-let saved_of_string_ex s =
+(* v2 is a single model, v3 a boosted one; v4 names its kind and may
+   carry an expectations block. All three end with the footer. *)
+let of_string s =
   let parse () =
+    verify_crc s;
     let st = tokenize s in
     expect st "pnrule-model";
-    let version =
-      match next st with
-      | "v1" -> 1 (* legacy: no checksum footer *)
-      | "v2" -> 2
-      | "v3" -> 3
-      | "v4" -> 4
+    let version = next st in
+    let sm =
+      match version with
+      | "v2" -> Saved.Single (read_single st)
+      | "v3" ->
+        expect st "kind";
+        expect st "boosted";
+        Saved.Boosted (read_boosted st)
+      | "v4" -> (
+        expect st "kind";
+        match next st with
+        | "pnrule" -> Saved.Single (read_single st)
+        | "boosted" -> Saved.Boosted (read_boosted st)
+        | other -> fail "unknown model kind %S" other)
       | other -> fail "unsupported format version %S" other
     in
-    if version >= 2 then verify_crc s;
-    match version with
-    | 1 | 2 ->
-      (Saved.Single (read_single st ~consume_crc:(version = 2)), None)
-    | 3 ->
-      expect st "kind";
-      (match next st with
-      | "boosted" ->
-        let e = read_boosted st in
-        expect st "crc";
-        ignore (next st);
-        (Saved.Boosted e, None)
-      | other -> fail "unknown model kind %S" other)
-    | _ ->
-      expect st "kind";
-      let sm =
-        match next st with
-        | "pnrule" -> Saved.Single (read_single st ~consume_crc:false)
-        | "boosted" -> Saved.Boosted (read_boosted st)
-        | other -> fail "unknown model kind %S" other
-      in
-      let exp = read_expectations st ~monitored:(Saved.n_monitored sm) in
-      expect st "crc";
-      ignore (next st);
-      (sm, Some exp)
+    let expectations =
+      if version = "v4" && peek_is st "expectations" then
+        Some (read_expectations st ~monitored:(Saved.n_monitored sm))
+      else None
+    in
+    expect st "crc";
+    ignore (next st);
+    (sm, expectations)
   in
   (* Every reader failure mode must come out as [Corrupt]: callers (hot
      reload, the CLI) decide "keep the old model" on that one exception,
      and a stray [Scan_failure] would instead kill the worker. *)
   try parse () with
-  | Corrupt _ as c -> raise c
   | Scanf.Scan_failure _ | Failure _ | Invalid_argument _ | Not_found
   | End_of_file ->
     fail "malformed model text"
-
-let saved_of_string s = fst (saved_of_string_ex s)
-
-let of_string s =
-  match saved_of_string s with
-  | Saved.Single m -> m
-  | Saved.Boosted _ ->
-    fail "boosted ensemble (v3) where a single PNrule model was expected"
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* fsync of a directory makes the rename itself durable. Some
-   filesystems refuse it; that only weakens durability, never
-   atomicity, so errors are ignored. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+let save ?(fault_point = "serialize.write") ?expectations sm path =
+  let data = to_string ?expectations sm in
+  Pn_util.Atomic_file.write ~fault_point path (fun sink -> sink data)
 
-(* Atomic save: all bytes go to a temp file in the target's directory,
-   reach disk via fsync, and only then rename over [path] — a crash at
-   any point leaves either the complete old file or the complete new
-   one, never a torn hybrid. The write loop passes the
-   [serialize.write] fault point so chaos tests can cut it short at an
-   arbitrary byte. *)
-let write_atomic ?(fault_point = "serialize.write") data path =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let write_all fd =
-    let len = String.length data in
-    let off = ref 0 in
-    while !off < len do
-      let want = Pn_util.Fault.cap fault_point (min 65536 (len - !off)) in
-      match Unix.write_substring fd data !off want with
-      | n -> off := !off + n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  match
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        write_all fd;
-        Unix.fsync fd)
-  with
-  | () ->
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path)
-  | exception e ->
-    (* Never leave the half-written temp file behind — and never let the
-       failure touch [path]: the previous model generation stays valid. *)
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
-let save m path = write_atomic (to_string m) path
-
-let save_saved sm path = write_atomic (string_of_saved sm) path
-
-let save_saved_ex ?fault_point sm expectations path =
-  write_atomic ?fault_point (string_of_saved_ex sm expectations) path
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> In_channel.input_all ic)
-
-let load path = of_string (read_file path)
-
-let load_saved path = saved_of_string (read_file path)
-
-let load_saved_ex path = saved_of_string_ex (read_file path)
+let load_saved path = fst (load path)

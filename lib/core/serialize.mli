@@ -1,99 +1,51 @@
-(** Plain-text persistence for PNrule models.
+(** Plain-text persistence for {!Saved.t} models.
 
     The format is line-oriented and self-contained: it carries the class
     table, the attribute schema (with categorical value names), and the
     model body. Written models round-trip exactly.
 
-    Two bodies exist: v2 holds a single two-phase PNrule model (both
-    rule lists, the ScoreMatrix, decision parameters); v3 holds a
-    boosted ensemble ([kind boosted]: bias, decision threshold, and one
-    weighted rule per member). Both end with a [crc XXXXXXXX] footer —
-    the CRC-32 of every byte above it — which the readers verify before
-    parsing, so torn, truncated or bit-flipped files are rejected with
-    one clean error. v1 files (no footer) still load.
-
-    v4 ([kind pnrule] or [kind boosted]) appends a per-rule
-    drift-expectations block ({!Saved.expectations}) between the v2/v3
-    body and the footer, for the online drift monitor's baseline.
-    Writing v4 is opt-in ({!string_of_saved_ex} with [Some]
-    expectations); everything written without expectations stays
-    byte-identical to v2/v3, and all of v1–v4 load through
-    {!saved_of_string_ex}. *)
+    The writer emits format v4: a [pnrule-model v4] header, a
+    [kind pnrule] or [kind boosted] line, the model body, an optional
+    per-rule drift-expectations block ({!Saved.expectations}), and a
+    [crc XXXXXXXX] footer — the CRC-32 of every byte above it. The
+    reader also accepts the two older formats, which carry no
+    expectations: v2 holds a single two-phase PNrule model (both rule
+    lists, the ScoreMatrix, decision parameters) and v3 a boosted
+    ensemble (bias, decision threshold, and one weighted rule per
+    member); their bodies are exactly v4's. Every version ends with the
+    footer, which the reader verifies before parsing, so torn, truncated
+    or bit-flipped files are rejected with one clean error. *)
 
 exception Corrupt of string
 (** Raised by the readers on malformed input — bad syntax, implausible
-    counts, or a checksum mismatch — with a description. Every reader
-    failure mode is funnelled into this exception so callers can safely
-    decide "keep the previous model". *)
+    counts, a rule that does not fit the schema, an unsupported version
+    or a checksum mismatch — with a description. Every reader failure
+    mode is funnelled into this exception so callers can safely decide
+    "keep the previous model". *)
 
-(** [to_string model] serializes a single model (v2, checksum footer
-    included). *)
-val to_string : Model.t -> string
+(** [to_string ?expectations sm] serializes [sm] as v4, with the
+    expectations block when [expectations] is given. Raises
+    [Invalid_argument] when the expectations' arrays do not cover
+    exactly [Saved.n_monitored sm] rules. *)
+val to_string : ?expectations:Saved.expectations -> Saved.t -> string
 
-(** [of_string s] parses a serialized single model. Raises [Corrupt] —
-    including on a (valid) v3 ensemble file, which only
-    {!saved_of_string} accepts. *)
-val of_string : string -> Model.t
+(** [of_string s] parses a v2, v3 or v4 model and the expectations block
+    when the file has one (v2 and v3 never do). Raises {!Corrupt}. *)
+val of_string : string -> Saved.t * Saved.expectations option
 
-(** [string_of_saved sm] serializes either kind: [Single] produces the
-    same v2 bytes as {!to_string}, [Boosted] produces v3. *)
-val string_of_saved : Saved.t -> string
+(** [save ?fault_point ?expectations sm path] writes {!to_string}'s bytes
+    through {!Pn_util.Atomic_file.write}: a crash mid-save leaves the
+    previous file intact, never a torn hybrid. [fault_point] names the
+    write loop's {!Pn_util.Fault} point (default [serialize.write]); the
+    background retrainer publishes under [retrain.publish]. Raises
+    [Unix.Unix_error] / [Sys_error] on IO failure (the temp file is
+    removed, [path] untouched). *)
+val save :
+  ?fault_point:string -> ?expectations:Saved.expectations -> Saved.t -> string -> unit
 
-(** [saved_of_string s] parses any supported version: v1/v2 come back as
-    [Single], v3 as [Boosted], v4 as its embedded kind (the expectations
-    block is verified and dropped — use {!saved_of_string_ex} to keep
-    it). Raises [Corrupt]. *)
-val saved_of_string : string -> Saved.t
+(** [load path] reads and verifies a model file. Raises {!Corrupt} or
+    [Sys_error]. *)
+val load : string -> Saved.t * Saved.expectations option
 
-(** [string_of_saved_ex sm expectations] serializes [sm] together with
-    its drift-expectations baseline: [None] falls back to
-    {!string_of_saved} (v2/v3 bytes), [Some e] produces v4. Raises
-    [Invalid_argument] when [e]'s arrays do not cover exactly
-    [Saved.n_monitored sm] rules. *)
-val string_of_saved_ex : Saved.t -> Saved.expectations option -> string
-
-(** [saved_of_string_ex s] parses any supported version and surfaces the
-    expectations block when the file has one (v4 only — v1–v3 load as
-    [(model, None)]). Raises [Corrupt]. *)
-val saved_of_string_ex : string -> Saved.t * Saved.expectations option
-
-(** [write_atomic data path] is the raw crash-safe write protocol
-    behind {!save}: temp file in [path]'s directory, fsync, rename,
-    directory fsync — a crash at any point leaves [path] either absent
-    or entirely the old bytes. [fault_point] names the {!Pn_util.Fault}
-    point the write loop passes (default [serialize.write]); the model
-    registry reuses this protocol for its [CURRENT] pointer under its
-    own [registry.flip] point. Raises [Unix.Unix_error] / [Sys_error]
-    on IO failure (the temp file is removed, [path] untouched). *)
-val write_atomic : ?fault_point:string -> string -> string -> unit
-
-(** [save model path] writes atomically: the bytes go to a temp file in
-    [path]'s directory, are fsynced, and are renamed over [path] only
-    once complete — a crash mid-save leaves the previous file intact,
-    never a torn hybrid. Passes the [serialize.write] fault point.
-    Raises [Unix.Unix_error] / [Sys_error] on IO failure (the temp file
-    is removed, [path] untouched). *)
-val save : Model.t -> string -> unit
-
-(** [save_saved sm path] is {!save} for either model kind — same atomic
-    protocol, same [serialize.write] fault point. *)
-val save_saved : Saved.t -> string -> unit
-
-(** [save_saved_ex sm expectations path] is {!save_saved} plus the v4
-    expectations block when [expectations] is [Some]. [fault_point]
-    overrides the write loop's fault point (default [serialize.write]) —
-    the background retrainer publishes under [retrain.publish]. *)
-val save_saved_ex :
-  ?fault_point:string -> Saved.t -> Saved.expectations option -> string -> unit
-
-(** [load path] reads and verifies a single-model file. Raises [Corrupt]
-    or [Sys_error]. *)
-val load : string -> Model.t
-
-(** [load_saved path] reads and verifies a model file of any supported
-    version. Raises [Corrupt] or [Sys_error]. *)
+(** [load_saved path] is [fst (load path)]. *)
 val load_saved : string -> Saved.t
-
-(** [load_saved_ex path] is {!load_saved} keeping the v4 expectations
-    block when present. Raises [Corrupt] or [Sys_error]. *)
-val load_saved_ex : string -> Saved.t * Saved.expectations option

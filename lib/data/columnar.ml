@@ -192,44 +192,9 @@ let to_string ?group_size ?missing ds =
   write ?group_size ?missing (Buffer.add_string buf) ds;
   Buffer.contents buf
 
-(* Same durability contract as [Serialize.save]: fsync of the directory
-   makes the rename durable; refusal only weakens durability, never
-   atomicity. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 let save ?group_size ?missing ds path =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let write_all fd data =
-    let len = String.length data in
-    let off = ref 0 in
-    while !off < len do
-      let want = Pn_util.Fault.cap "columnar.write" (min 65536 (len - !off)) in
-      match Unix.write_substring fd data !off want with
-      | n -> off := !off + n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  match
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        write ?group_size ?missing (write_all fd) ds;
-        Unix.fsync fd)
-  with
-  | () ->
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path)
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Pn_util.Atomic_file.write ~fault_point:"columnar.write" path (fun sink ->
+      write ?group_size ?missing sink ds)
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                              *)

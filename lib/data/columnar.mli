@@ -22,7 +22,7 @@
     file-level CRC-32 over the concatenated block checksums, so
     truncation, bit flips, and group reordering/omission all surface as
     {!Corrupt} — never a crash, never silently wrong data. Writers
-    ([{!save}]) are atomic: temp file, fsync, rename. The byte-counted
+    ([{!save}]) are atomic ({!Pn_util.Atomic_file}). The byte-counted
     fault points [columnar.write] / [columnar.read]
     ({!Pn_util.Fault.cap}) sit on both paths for chaos testing.
 
@@ -68,10 +68,10 @@ val write :
 val to_string :
   ?group_size:int -> ?missing:bool array option array -> Dataset.t -> string
 
-(** [save ds path] writes atomically: all bytes reach a temp file in
-    [path]'s directory and are fsynced before the rename, so a crash
-    mid-write (including one injected at [columnar.write]) leaves any
-    previous file at [path] byte-identical. *)
+(** [save ds path] streams {!write}'s blocks through
+    {!Pn_util.Atomic_file.write} under the [columnar.write] fault point,
+    one block at a time, so a crash mid-write leaves any previous file
+    at [path] byte-identical. *)
 val save :
   ?group_size:int -> ?missing:bool array option array -> Dataset.t -> string -> unit
 

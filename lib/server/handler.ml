@@ -54,7 +54,7 @@ let initial_state source =
   | Loader load ->
     { model = load (); generation = 1; loaded_at; expectations = None }
   | Registry reg ->
-    let generation, model, expectations = Pnrule.Registry.load_initial_ex reg in
+    let generation, model, expectations = Pnrule.Registry.load_initial reg in
     { model; generation; loaded_at; expectations }
 
 let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
@@ -119,7 +119,7 @@ let reload t =
     match t.source with
     | Loader load -> (load (), (Atomic.get t.state).generation + 1, None)
     | Registry reg ->
-      let g, m, exp = Pnrule.Registry.load_initial_ex reg in
+      let g, m, exp = Pnrule.Registry.load_initial reg in
       (m, g, exp)
   with
   | model, generation, expectations ->
@@ -185,7 +185,7 @@ let rollout t ~back ~gen =
               ~finally:(fun () -> Atomic.set t.warming false)
               (fun () ->
                 match
-                  let model, exp = Pnrule.Registry.load_gen_ex reg g in
+                  let model, exp = Pnrule.Registry.load_gen reg g in
                   Pnrule.Registry.warm model;
                   Pnrule.Registry.set_current reg g;
                   (model, exp)

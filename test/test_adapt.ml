@@ -89,49 +89,30 @@ let test_derive_and_v4_roundtrip () =
    with
   | _ -> Alcotest.fail "derive accepted an empty dataset"
   | exception Invalid_argument _ -> ());
-  (* No expectations = the exact v2 writer bytes; Some = a v4 file. *)
-  let v2 = Pnrule.Serialize.string_of_saved sm in
-  Alcotest.(check string)
-    "None leaves the v2 writer bytes unchanged" v2
-    (Pnrule.Serialize.string_of_saved_ex sm None);
-  let v4 = Pnrule.Serialize.string_of_saved_ex sm (Some exp) in
+  (* Every file is v4; the expectations block is optional. *)
+  let plain = Pnrule.Serialize.to_string sm in
+  let v4 = Pnrule.Serialize.to_string ~expectations:exp sm in
   Alcotest.(check bool)
     "v4 header" true
     (String.length v4 > 16 && String.sub v4 0 16 = "pnrule-model v4\n");
-  let sm', exp' = Pnrule.Serialize.saved_of_string_ex v4 in
+  let sm', exp' = Pnrule.Serialize.of_string v4 in
   (match exp' with
   | None -> Alcotest.fail "v4 round-trip lost the expectations"
   | Some e -> check_exp_eq "v4 round-trip" exp e);
   Alcotest.(check string)
-    "v4 round-trip preserves the model body" v2
-    (Pnrule.Serialize.string_of_saved sm');
-  (* The plain reader accepts v4 too (verifies and drops the block). *)
-  Alcotest.(check string)
-    "saved_of_string accepts v4" v2
-    (Pnrule.Serialize.string_of_saved (Pnrule.Serialize.saved_of_string v4));
-  (* v1 (no footer) / v2 / v3 all load as (model, None). A v1 file is
-     the v2 body with a v1 header and no checksum line. *)
-  let as_v1 s =
-    let i = String.rindex_from s (String.length s - 2) '\n' in
-    "pnrule-model v1\n"
-    ^ String.sub s 16 (i + 1 - 16)
-  in
-  let _, e1 = Pnrule.Serialize.saved_of_string_ex (as_v1 v2) in
-  Alcotest.(check bool) "v1 loads with no expectations" true (e1 = None);
-  let _, e2 = Pnrule.Serialize.saved_of_string_ex v2 in
-  Alcotest.(check bool) "v2 loads with no expectations" true (e2 = None);
+    "v4 round-trip preserves the model body" plain
+    (Pnrule.Serialize.to_string sm');
+  let _, e2 = Pnrule.Serialize.of_string plain in
+  Alcotest.(check bool) "no block loads with no expectations" true (e2 = None);
   let ens =
     Pnrule.Ensemble.train
       ~params:{ Pnrule.Ensemble.default_params with rounds = 5 }
       train ~target
   in
   let smb = Pnrule.Saved.Boosted ens in
-  let v3 = Pnrule.Serialize.string_of_saved smb in
-  let _, e3 = Pnrule.Serialize.saved_of_string_ex v3 in
-  Alcotest.(check bool) "v3 loads with no expectations" true (e3 = None);
-  Alcotest.(check string)
-    "None leaves the v3 writer bytes unchanged" v3
-    (Pnrule.Serialize.string_of_saved_ex smb None);
+  let plainb = Pnrule.Serialize.to_string smb in
+  let _, e3 = Pnrule.Serialize.of_string plainb in
+  Alcotest.(check bool) "boosted loads with no expectations" true (e3 = None);
   (* Boosted v4 through the file API. *)
   let expb = E.derive smb train in
   Alcotest.(check int)
@@ -142,27 +123,29 @@ let test_derive_and_v4_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Pnrule.Serialize.save_saved_ex smb (Some expb) path;
-      let smb', expb' = Pnrule.Serialize.load_saved_ex path in
+      Pnrule.Serialize.save ~expectations:expb smb path;
+      let smb', expb' = Pnrule.Serialize.load path in
       (match expb' with
       | None -> Alcotest.fail "boosted v4 file lost the expectations"
       | Some e -> check_exp_eq "boosted v4 file" expb e);
       Alcotest.(check string)
-        "boosted v4 file preserves the body" v3
-        (Pnrule.Serialize.string_of_saved smb'));
+        "boosted v4 file preserves the body" plainb
+        (Pnrule.Serialize.to_string smb'));
   (* Mismatched arrays are a writer bug, not a silent file. *)
   (match
-     Pnrule.Serialize.string_of_saved_ex sm
-       (Some { exp with E.rates = Array.sub exp.rates 0 0 })
+     Pnrule.Serialize.to_string
+       ~expectations:{ exp with E.rates = Array.sub exp.rates 0 0 }
+       sm
    with
   | _ -> Alcotest.fail "writer accepted mismatched expectations"
   | exception Invalid_argument _ -> ());
-  (* A flipped byte inside the expectations block fails the checksum. *)
+  (* A flipped byte inside the expectations block fails the checksum:
+     the block starts where [plain]'s footer does. *)
   let tampered = Bytes.of_string v4 in
-  let pos = String.length v2 + 4 in
+  let pos = String.length plain + 4 in
   Bytes.set tampered pos
     (if Bytes.get tampered pos = '0' then '1' else '0');
-  match Pnrule.Serialize.saved_of_string_ex (Bytes.to_string tampered) with
+  match Pnrule.Serialize.of_string (Bytes.to_string tampered) with
   | _ -> Alcotest.fail "tampered v4 accepted"
   | exception Pnrule.Serialize.Corrupt _ -> ()
 
@@ -441,7 +424,7 @@ let qcheck_determinism =
    only after [Rt.create] returns). *)
 let daemon_rollout reg dr_cell sm_cell rolled ~gen =
   rolled := gen :: !rolled;
-  let sm', exp' = Pnrule.Serialize.load_saved_ex (R.gen_path reg gen) in
+  let sm', exp' = Pnrule.Serialize.load (R.gen_path reg gen) in
   sm_cell := sm';
   Option.iter
     (fun dr ->
@@ -528,7 +511,7 @@ let test_retrain_cycle () =
       Alcotest.(check (list int)) "registry holds both" [ 1; 2 ] (R.generations reg);
       (* The published generation carries fresh expectations, and no
          spill file lingers in the registry directory. *)
-      let _, exp2 = Pnrule.Serialize.load_saved_ex (R.gen_path reg 2) in
+      let _, exp2 = Pnrule.Serialize.load (R.gen_path reg 2) in
       Alcotest.(check bool) "gen-2 is a v4 file" true (exp2 <> None);
       Array.iter
         (fun f ->
@@ -822,7 +805,7 @@ let test_daemon_adaptation_e2e () =
                 "registry holds both generations" [ 1; 2 ]
                 (R.generations reg);
               let _, exp2 =
-                Pnrule.Serialize.load_saved_ex (R.gen_path reg 2)
+                Pnrule.Serialize.load (R.gen_path reg 2)
               in
               Alcotest.(check bool)
                 "published generation carries expectations" true

@@ -1,6 +1,7 @@
 (* Tests for the boosted rule ensemble: the compiled bitset scorer
-   against a per-record interpretive reference, the Serialize v3
-   round-trip (including corruption), and the accuracy claim —
+   against a per-record interpretive reference, the serialized
+   round-trip (including corruption), a fuzzer for the model reader,
+   and the accuracy claim —
    boosting matches or beats the single PNrule list's recall on the
    skewed synthetic problems. *)
 
@@ -102,7 +103,7 @@ let test_batch_allocation () =
     (per_row <= words_per_row_bound)
 
 (* ------------------------------------------------------------------ *)
-(* Serialize v3                                                         *)
+(* Serialization                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Arbitrary ensembles over the same awkward attribute/float space the
@@ -132,23 +133,11 @@ let ensemble_gen =
       threshold;
     }
 
-(* Flip one body byte or chop the tail — the v3 reader, like v2, must
-   answer every mutation with [Corrupt]. *)
+(* Flip any byte or chop the tail: the boosted body, like the single
+   one, must answer every mutation with [Corrupt]. *)
 let corruption_gen =
-  let open QCheck.Gen in
-  ensemble_gen >>= fun e ->
-  let s = S.string_of_saved (Sv.Boosted e) in
-  let body_start = String.index s '\n' + 1 in
-  oneof
-    [
-      ( int_range body_start (String.length s - 1) >>= fun pos ->
-        int_range 1 255 >>= fun delta ->
-        let b = Bytes.of_string s in
-        Bytes.set b pos (Char.chr ((Char.code (Bytes.get b pos) + delta) land 0xff));
-        return (Bytes.to_string b) );
-      ( int_range 0 (String.length s - 1) >>= fun keep ->
-        return (String.sub s 0 keep) );
-    ]
+  QCheck.Gen.(
+    ensemble_gen >>= fun e -> Test_serialize.corrupt_gen (S.to_string (Sv.Boosted e)))
 
 (* A dataset over an arbitrary ensemble's schema: numeric cells drawn
    from the generator's own thresholds (so rules do fire, nan and
@@ -191,6 +180,102 @@ let decimal_weights e =
     bias = 0.7;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Model-reader fuzzing                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Start and end offsets of the whitespace-separated words of [s]. *)
+let words s =
+  let n = String.length s in
+  let acc = ref [] and i = ref 0 in
+  while !i < n do
+    if s.[!i] = ' ' || s.[!i] = '\n' then incr i
+    else begin
+      let j = ref !i in
+      while !j < n && s.[!j] <> ' ' && s.[!j] <> '\n' do
+        incr j
+      done;
+      acc := (!i, !j) :: !acc;
+      i := !j
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
+(* A valid file of either kind, with or without expectations, with one
+   word replaced, deleted or duplicated and the footer recomputed, so
+   the mutation reaches the parser instead of the checksum. Spliced
+   words come from the file itself or from the format's keywords,
+   counts and column indices around every boundary. *)
+let token_mutation_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      (Test_serialize.model_gen >|= fun m -> Sv.Single m);
+      (ensemble_gen >|= fun e -> Sv.Boosted e);
+    ]
+  >>= fun sm ->
+  bool >>= fun with_exp ->
+  let n = Sv.n_monitored sm in
+  let expectations =
+    if with_exp then
+      Some { Sv.rates = Array.make n 0.25; precisions = Array.make n 0.5; support = 7 }
+    else None
+  in
+  let s = S.to_string ?expectations sm in
+  let body = String.sub s 0 (String.rindex_from s (String.length s - 2) '\n' + 1) in
+  let len = String.length body in
+  let ws = words body in
+  let word (a, b) = String.sub body a (b - a) in
+  int_range 0 (Array.length ws - 1) >>= fun k ->
+  let a, b = ws.(k) in
+  let splice into = String.sub body 0 a ^ into ^ String.sub body b (len - b) in
+  oneof
+    [
+      ( oneof
+          [
+            (int_range 0 (Array.length ws - 1) >|= fun j -> word ws.(j));
+            oneofl
+              [ "-1"; "0"; "1"; "2"; "3"; "4"; "5"; "99"; "4611686018427387903";
+                "nan"; "-inf"; "0x1p9"; "true"; "\"\""; "cat"; "num"; "le";
+                "ge"; "range"; "rule"; "member"; "kind"; "boosted"; "pnrule";
+                "expectations"; "crc"; "v2"; "v3"; "v4" ];
+          ]
+      >|= splice );
+      return (splice "");
+      return (splice (word ws.(k) ^ " " ^ word ws.(k)));
+    ]
+  >|= Test_serialize.with_footer
+
+let reader_fuzz_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 300) in
+  frequency
+    [
+      (1, bytes);
+      (1, bytes >|= fun junk -> Test_serialize.with_footer ("pnrule-model v4\n" ^ junk));
+      (6, token_mutation_gen);
+    ]
+
+(* What the daemon relies on at boot, on SIGHUP and on rollout: a model
+   file either fails to load with [Corrupt] or loads as a model that
+   scores. Anything else (an escaped exception, a model the canary
+   cannot score, a slow parse) fails. *)
+let reader_verdict s =
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    match S.of_string s with
+    | exception S.Corrupt _ -> Ok ()
+    | exception e -> Error ("leaked exception " ^ Printexc.to_string e)
+    | sm, _ -> (
+      match Pnrule.Registry.warm sm with
+      | () -> Ok ()
+      | exception e -> Error ("loaded, but warm raised " ^ Printexc.to_string e))
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  match verdict with
+  | Error msg -> QCheck.Test.fail_report msg
+  | Ok () -> elapsed < 1.0 || QCheck.Test.fail_reportf "took %.2f s" elapsed
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:60
@@ -209,11 +294,11 @@ let qcheck_props =
     QCheck.Test.make ~count:300 ~name:"ensemble: v3 round-trip is a fixed point"
       (QCheck.make ensemble_gen)
       (fun e ->
-        let s1 = S.string_of_saved (Sv.Boosted e) in
-        match S.saved_of_string s1 with
-        | Sv.Single _ -> QCheck.Test.fail_report "v3 read back as a single model"
-        | Sv.Boosted back ->
-          s1 = S.string_of_saved (Sv.Boosted back)
+        let s1 = S.to_string (Sv.Boosted e) in
+        match S.of_string s1 with
+        | Sv.Single _, _ -> QCheck.Test.fail_report "ensemble read back as a single model"
+        | Sv.Boosted back, _ ->
+          s1 = S.to_string (Sv.Boosted back)
           && back.E.target = e.E.target
           && back.E.classes = e.E.classes
           && back.E.attrs = e.E.attrs
@@ -222,31 +307,47 @@ let qcheck_props =
       ~name:"ensemble: corrupted v3 bytes always raise Corrupt"
       (QCheck.make corruption_gen)
       (fun corrupted ->
-        match S.saved_of_string corrupted with
+        match S.of_string corrupted with
         | _ -> QCheck.Test.fail_report "corruption accepted silently"
         | exception S.Corrupt _ -> true
         | exception e ->
           QCheck.Test.fail_reportf "leaked exception %s" (Printexc.to_string e));
+    QCheck.Test.make ~count:1000
+      ~name:"model reader: every input is Corrupt or a model that warms"
+      (QCheck.make ~print:(Printf.sprintf "%S") reader_fuzz_gen)
+      reader_verdict;
   ]
 
-let test_v2_loads_as_single () =
-  let ds = skewed ~seed:33 ~n:8_000 in
-  let model = Pnrule.Learner.train ds ~target:1 in
-  let v2 = S.to_string model in
-  match S.saved_of_string v2 with
-  | Sv.Boosted _ -> Alcotest.fail "v2 bytes read back as an ensemble"
-  | Sv.Single back ->
-    Alcotest.(check string) "byte-identical" v2 (S.to_string back);
-    Alcotest.(check string) "string_of_saved writes the v2 bytes" v2
-      (S.string_of_saved (Sv.Single back))
-
-let test_of_string_rejects_v3 () =
-  let ds = skewed ~seed:34 ~n:6_000 in
-  let e = E.train ~params:{ E.default_params with rounds = 5 } ds ~target:1 in
-  let v3 = S.string_of_saved (Sv.Boosted e) in
-  match S.of_string v3 with
-  | _ -> Alcotest.fail "of_string accepted a v3 ensemble"
-  | exception S.Corrupt _ -> ()
+(* A count check that walked the remaining tokens made loading
+   quadratic in the file's size: 16 000 members took seconds. *)
+let test_large_ensemble_roundtrip () =
+  let module C = Pn_rules.Condition in
+  let attrs =
+    [| Pn_data.Attribute.numeric "x"; Pn_data.Attribute.numeric "y";
+       Pn_data.Attribute.categorical "c" [| "a"; "b"; "c" |] |]
+  in
+  let members =
+    Array.init 16_000 (fun k ->
+        let t = float_of_int k in
+        {
+          E.rule =
+            Pn_rules.Rule.of_conditions
+              [ C.Num_ge { col = 0; threshold = t }; C.Num_le { col = 1; threshold = t +. 0.5 };
+                C.Cat_eq { col = 2; value = k mod 3 } ];
+          weight = 1.0 /. (t +. 1.0);
+        })
+  in
+  let e =
+    { E.target = 1; classes = [| "n"; "t" |]; attrs; members; bias = -1.0; threshold = 0.0 }
+  in
+  let t0 = Unix.gettimeofday () in
+  let s = S.to_string (Sv.Boosted e) in
+  let back, _ = S.of_string s in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "round-trip" s (S.to_string back);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes in %.3f s < 1 s" (String.length s) elapsed)
+    true (elapsed < 1.0)
 
 let test_file_roundtrip () =
   let ds = skewed ~seed:35 ~n:8_000 in
@@ -255,11 +356,11 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      S.save_saved (Sv.Boosted e) path;
+      S.save (Sv.Boosted e) path;
       let back = S.load_saved path in
       Alcotest.(check string) "byte-identical after save/load"
-        (S.string_of_saved (Sv.Boosted e))
-        (S.string_of_saved back);
+        (S.to_string (Sv.Boosted e))
+        (S.to_string back);
       Alcotest.(check bool) "same predictions" true
         (Sv.predict_all back ds = E.predict_all e ds))
 
@@ -294,11 +395,9 @@ let suite =
       test_compiled_matches_reference;
     Alcotest.test_case "ensemble: boosted batch allocates O(rows)" `Quick
       test_batch_allocation;
-    Alcotest.test_case "ensemble: v2 bytes load as Single" `Quick
-      test_v2_loads_as_single;
-    Alcotest.test_case "ensemble: of_string rejects v3" `Quick
-      test_of_string_rejects_v3;
     Alcotest.test_case "ensemble: file roundtrip" `Quick test_file_roundtrip;
+    Alcotest.test_case "ensemble: 16000-member file round-trips under 1 s" `Quick
+      test_large_ensemble_roundtrip;
     Alcotest.test_case "ensemble: boosted recall beats the single list" `Quick
       test_boosted_beats_single_list_recall;
   ]

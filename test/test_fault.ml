@@ -155,10 +155,10 @@ let test_atomic_save_survives_crash () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      S.save_saved model path;
+      S.save model path;
       let good = read_file path in
       with_chaos "serialize.write:crash@128" (fun () ->
-          (match S.save_saved model path with
+          (match S.save model path with
           | () -> Alcotest.fail "save should have crashed mid-write"
           | exception F.Injected _ -> ());
           Alcotest.(check bool)
@@ -172,7 +172,7 @@ let test_atomic_save_survives_crash () =
       (* And the survivor still loads and round-trips. *)
       let back = S.load_saved path in
       Alcotest.(check string) "reload of survivor round-trips" good
-        (S.string_of_saved back))
+        (S.to_string back))
 
 let test_columnar_save_survives_crash () =
   let module C = Pn_data.Columnar in
@@ -229,7 +229,7 @@ let test_reload_survives_corruption () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      S.save_saved model path;
+      S.save model path;
       let good = read_file path in
       let config = { Server.default_config with chunk_size = 256 } in
       let srv =
@@ -244,7 +244,7 @@ let test_reload_survives_corruption () =
           (* A mid-write crash while publishing a new model leaves the
              old file byte-identical, so a reload keeps working. *)
           with_chaos "serialize.write:crash@256" (fun () ->
-              match S.save_saved model path with
+              match S.save model path with
               | () -> Alcotest.fail "save should have crashed"
               | exception F.Injected _ -> ());
           Alcotest.(check string) "model file survived the crash" good

@@ -102,20 +102,20 @@ let test_load_initial_precedence () =
       let reg = R.open_dir dir in
       ignore (R.publish reg model);
       ignore (R.publish reg model);
-      let g, _ = R.load_initial reg in
+      let g, _, _ = R.load_initial reg in
       Alcotest.(check int) "no pointer: highest generation" 2 g;
       R.set_current reg 1;
-      let g, _ = R.load_initial reg in
+      let g, _, _ = R.load_initial reg in
       Alcotest.(check int) "valid pointer wins" 1 g;
       (* A pointer at a corrupt file falls back to the highest loadable
          generation instead of refusing to boot. *)
       write_file (R.gen_path reg 3) "not a model";
       write_file (Filename.concat dir "CURRENT") "gen-3.model\n";
-      let g, _ = R.load_initial reg in
+      let g, _, _ = R.load_initial reg in
       Alcotest.(check int) "corrupt pointer target skipped" 2 g;
       (* A mangled pointer is treated as missing, not fatal. *)
       write_file (Filename.concat dir "CURRENT") "???";
-      let g, _ = R.load_initial reg in
+      let g, _, _ = R.load_initial reg in
       Alcotest.(check int) "mangled pointer ignored" 2 g;
       (* Nothing loadable at all: a clean error, not a crash. *)
       write_file (R.gen_path reg 1) "zap";

@@ -182,8 +182,8 @@ let test_pool_size_bit_identity () =
       let run () =
         let single = Pnrule.Learner.train ~sampling ds ~target in
         let boosted = Pnrule.Ensemble.train ~sampling ds ~target in
-        ( Pnrule.Serialize.to_string single,
-          Pnrule.Serialize.string_of_saved (Pnrule.Saved.Boosted boosted) )
+        ( Pnrule.Serialize.to_string (Pnrule.Saved.Single single),
+          Pnrule.Serialize.to_string (Pnrule.Saved.Boosted boosted) )
       in
       Pn_util.Pool.set_default Pn_util.Pool.sequential;
       let seq_single, seq_boosted = run () in
@@ -199,8 +199,8 @@ let test_none_is_identity () =
   let plain = Pnrule.Learner.train ds ~target:1 in
   let sampled = Pnrule.Learner.train ~sampling:Sa.none ds ~target:1 in
   Alcotest.(check string) "identical bytes"
-    (Pnrule.Serialize.to_string plain)
-    (Pnrule.Serialize.to_string sampled)
+    (Pnrule.Serialize.to_string (Pnrule.Saved.Single plain))
+    (Pnrule.Serialize.to_string (Pnrule.Saved.Single sampled))
 
 (* Sampled training must still find the rare classes: the stratified
    floor keeps every target record available to the P-phase. *)

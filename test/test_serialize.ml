@@ -34,10 +34,24 @@ let mixed_problem ~seed ~n =
 (* Serialization                                                        *)
 (* ------------------------------------------------------------------ *)
 
+module Sv = Pnrule.Saved
+
+(* [body] followed by the checksum footer the writer would give it. *)
+let with_footer body =
+  body ^ Printf.sprintf "crc %08x\n" (Pn_util.Crc32.string body)
+
+let write m = S.to_string (Sv.Single m)
+
+(* The single PNrule model serialized in [s]. *)
+let single s =
+  match S.of_string s with
+  | Sv.Single m, _ -> m
+  | Sv.Boosted _, _ -> Alcotest.fail "read back an ensemble"
+
 let test_roundtrip_predictions () =
   let ds = mixed_problem ~seed:1 ~n:12_000 in
   let model = Pnrule.Learner.train ds ~target:1 in
-  let back = S.of_string (S.to_string model) in
+  let back = single (write model) in
   Alcotest.(check int) "target" model.M.target back.M.target;
   Alcotest.(check bool) "classes" true (model.M.classes = back.M.classes);
   Alcotest.(check bool) "attrs survive quoting" true (model.M.attrs = back.M.attrs);
@@ -51,8 +65,8 @@ let test_roundtrip_predictions () =
 let test_roundtrip_stable () =
   let ds = mixed_problem ~seed:2 ~n:8_000 in
   let model = Pnrule.Learner.train ds ~target:2 in
-  let s1 = S.to_string model in
-  let s2 = S.to_string (S.of_string s1) in
+  let s1 = write model in
+  let s2 = write (single s1) in
   Alcotest.(check string) "fixed point" s1 s2
 
 let test_file_roundtrip () =
@@ -62,26 +76,202 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      S.save model path;
-      let back = S.load path in
+      S.save (Sv.Single model) path;
+      let back = S.load_saved path in
       Alcotest.(check bool) "same predictions" true
-        (M.predict_all model ds = M.predict_all back ds))
+        (M.predict_all model ds = Sv.predict_all back ds))
+
+(* [s] must raise [Corrupt] with a message containing [reason]. *)
+let raises ?(reason = "") s =
+  match S.of_string s with
+  | _ -> Alcotest.failf "expected Corrupt for %S" s
+  | exception S.Corrupt msg ->
+    if not (Test_server.contains msg reason) then
+      Alcotest.failf "Corrupt %S for %S, expected one about %S" msg s reason
 
 let test_corrupt_inputs () =
-  let raises s =
-    try
-      ignore (S.of_string s);
-      Alcotest.failf "expected Corrupt for %S" s
-    with S.Corrupt _ -> ()
-  in
   raises "";
   raises "pnrule-model v2\n";
-  raises "pnrule-model v1\ntarget x\n";
-  raises "pnrule-model v1\ntarget 0\nclasses 1\n\"a\"\nattrs 0\ndecision 0x1p-1 true\np_rules 1\nrule notanint\n";
-  (* Score matrix height mismatch. *)
+  raises ~reason:"expected integer"
+    (with_footer "pnrule-model v4\nkind pnrule\ntarget x\n");
+  raises ~reason:"expected integer"
+    (with_footer
+       "pnrule-model v4\nkind pnrule\ntarget 0\nclasses 1\n\"a\"\nattrs 0\n\
+        decision 0x1p-1 true\np_rules 1\nrule notanint\n");
+  raises ~reason:"score matrix height"
+    (with_footer
+       "pnrule-model v4\nkind pnrule\ntarget 0\nclasses 1\n \"a\"\nattrs 1\n\
+        \  num \"x\"\ndecision 0x1p-1 true\np_rules 1\n  rule 1\n    le 0 0x1p0\n\
+        n_rules 0\nscores 0 0\n")
+
+(* One rule over a numeric column 0 and a two-value categorical column
+   1, as a single model and as a one-member ensemble, each with an
+   expectations block for its one monitored rule. *)
+let one_condition_files cond =
+  let schema =
+    "target 1\nclasses 2\n  \"n\"\n  \"t\"\nattrs 2\n  num \"x\"\n\
+     \  cat \"c\" 2 \"a\" \"b\"\n"
+  in
+  let expectations = "expectations 1\n  exp 0x1p-2 0x1p-1\nsupport 8\n" in
+  [
+    with_footer
+      (Printf.sprintf
+         "pnrule-model v4\nkind pnrule\n%sdecision 0x1p-1 true\np_rules 1\n\
+          \  rule 1\n    %s\nn_rules 0\nscores 1 1\n  0x1p-1\n%s"
+         schema cond expectations);
+    with_footer
+      (Printf.sprintf
+         "pnrule-model v4\nkind boosted\n%sdecision 0x0p+0\nbias -0x1p-1\n\
+          members 1\n  member 0x1p0 1\n    %s\n%s"
+         schema cond expectations);
+  ]
+
+(* Scoring indexes a condition's column, and a [cat] condition's
+   dictionary, without bounds checks of its own: a rule that does not
+   fit the schema must be refused at load time, not crash the first
+   request. *)
+let test_rules_must_fit_schema () =
+  List.iter
+    (fun cond ->
+      List.iter
+        (fun s ->
+          let sm, _ = S.of_string s in
+          Pnrule.Registry.warm sm)
+        (one_condition_files cond))
+    [ "le 0 0x1p0"; "range 0 0x1p0 0x1p1"; "cat 1 1" ];
+  List.iter
+    (fun cond -> List.iter raises (one_condition_files cond))
+    [
+      "le 5 0x1p0";
+      "ge -1 0x1p0";
+      "le 1 0x1p0";
+      "cat 0 0";
+      "cat 1 2";
+      "cat 1 -1";
+    ]
+
+(* Format v1 had no footer. Its reader let anyone turn off the checksum
+   by editing the header: this v2 file, relabelled v1 with its
+   threshold moved from 1 to 512 and its old footer left in place, used
+   to load as [x <= 512]. *)
+let test_v1_is_refused () =
+  let body =
+    "pnrule-model v2\ntarget 1\nclasses 2\n  \"n\"\n  \"t\"\nattrs 1\n\
+     \  num \"x\"\ndecision 0x1p-1 true\np_rules 1\n  rule 1\n\
+     \    le 0 0x1p0\nn_rules 0\nscores 1 1\n  0x1p-1\n"
+  in
+  ignore (single (with_footer body));
+  let edit ~from ~into s =
+    let m = String.length from in
+    let rec at i = if String.sub s i m = from then i else at (i + 1) in
+    let i = at 0 in
+    String.sub s 0 i ^ into ^ String.sub s (i + m) (String.length s - i - m)
+  in
   raises
-    "pnrule-model v1\ntarget 0\nclasses 1\n \"a\"\nattrs 0\ndecision 0x1p-1 true\n\
-     p_rules 1\n  rule 1\n    le 0 0x1p0\nn_rules 0\nscores 0 0\n"
+    (with_footer body
+    |> edit ~from:"pnrule-model v2" ~into:"pnrule-model v1"
+    |> edit ~from:"le 0 0x1p0" ~into:"le 0 0x1p9");
+  (* With a valid footer, v1 is one more unsupported version. *)
+  List.iter
+    (fun v ->
+      raises ~reason:"unsupported format version"
+        (with_footer (edit ~from:"v2" ~into:v body)))
+    [ "v1"; "v0"; "v5" ]
+
+(* A v2 and a v3 file as the previous writer produced them
+   ([Learner.train] and a 5-round [Ensemble.train] on
+   [mixed_problem ~seed:12 ~n:2000], target 1). *)
+let golden_v2 =
+  {|pnrule-model v2
+target 1
+classes 3
+  "normal"
+  "attack one"
+  "attack two"
+attrs 2
+  num "x"
+  cat "c with space" 3 "a a" "b\"q" "z"
+decision 0x1p-1 true
+p_rules 1
+  rule 1
+    range 0 0x1.4681ee30a7f81p+4 0x1.6ed9b4961f668p+4
+n_rules 9
+  rule 2
+    range 0 0x1.5e69c314bb934p+4 0x1.6ea8601763a4p+4
+    ge 0 0x1.6ba49cb367ebcp+4
+  rule 1
+    range 0 0x1.5e69c314bb934p+4 0x1.63150bd1fe87ep+4
+  rule 1
+    range 0 0x1.4faef9cf1910ap+4 0x1.51dc45950aeb2p+4
+  rule 1
+    range 0 0x1.644513432661ep+4 0x1.68cf762f2f7cp+4
+  rule 2
+    range 0 0x1.5579c8ee83cfp+4 0x1.5af5ad0a4dc97p+4
+    le 0 0x1.578e5ee8e6e63p+4
+  rule 2
+    range 0 0x1.48622d09b5074p+4 0x1.4b400e64035f5p+4
+    le 0 0x1.492b3c2833961p+4
+  rule 2
+    range 0 0x1.580c981903e92p+4 0x1.5af5ad0a4dc97p+4
+    cat 1 2
+  rule 1
+    range 0 0x1.4dc9907374f4ep+4 0x1.4dc9907374f4ep+4
+  rule 1
+    range 0 0x1.4b400e64035f5p+4 0x1.4b400e64035f5p+4
+scores 1 10
+  0x1.c71c71c71c71cp-3 0x1.1745d1745d174p-2 0x1p-2 0x1.999999999999ap-2 0x1.999999999999ap-3 0x1.13b13b13b13b1p-1 0x1.13b13b13b13b1p-1 0x1.13b13b13b13b1p-1 0x1.13b13b13b13b1p-1 0x1.f0f0f0f0f0f0fp-1
+crc 5bda0508
+|}
+
+let golden_v3 =
+  {|pnrule-model v3
+kind boosted
+target 1
+classes 3
+  "normal"
+  "attack one"
+  "attack two"
+attrs 2
+  num "x"
+  cat "c with space" 3 "a a" "b\"q" "z"
+decision 0x0p+0
+bias -0x1.ebc6c44a61261p-1
+members 5
+  member 0x1.f843e223bc774p-2 1
+    range 0 0x1.40da3cb3b14abp+4 0x1.6ed9b4961f668p+4
+  member 0x1.1825fcf28b5afp-2 1
+    range 0 0x1.4681ee30a7f81p+4 0x1.6ed9b4961f668p+4
+  member 0x1.182633faa3734p-3 1
+    range 0 0x1.4681ee30a7f81p+4 0x1.6ed9b4961f668p+4
+  member 0x1.c0ce8edbfa42cp-5 1
+    range 0 0x1.40da3cb3b14abp+4 0x1.6ed9b4961f668p+4
+  member 0x1.c0ced96b72248p-6 1
+    range 0 0x1.40da3cb3b14abp+4 0x1.6ed9b4961f668p+4
+crc 59758a0e
+|}
+
+(* A file's lines without the version line, the kind line and the
+   footer: the body every format version shares. *)
+let body_lines s =
+  let lines = String.split_on_char '\n' s in
+  let lines =
+    match List.tl lines with
+    | k :: rest when String.starts_with ~prefix:"kind " k -> rest
+    | rest -> rest
+  in
+  List.filteri (fun i _ -> i < List.length lines - 2) lines
+
+let check_golden ~kind literal () =
+  match S.of_string literal with
+  | _, Some _ -> Alcotest.fail "a pre-v4 file carries no expectations"
+  | sm, None ->
+    Alcotest.(check string) "model kind" kind (Sv.kind sm);
+    let v4 = S.to_string sm in
+    Alcotest.(check bool)
+      "re-encoded as v4" true
+      (String.starts_with ~prefix:("pnrule-model v4\nkind " ^ kind ^ "\n") v4);
+    Alcotest.(check (list string))
+      "same body, line for line" (body_lines literal) (body_lines v4)
 
 let test_backslash_names () =
   (* Regression: a name ending in a backslash serializes as "a\\"; the
@@ -98,7 +288,7 @@ let test_backslash_names () =
       params = Pnrule.Params.default;
     }
   in
-  let back = S.of_string (S.to_string model) in
+  let back = single (write model) in
   Alcotest.(check bool) "classes survive" true (back.M.classes = model.M.classes);
   Alcotest.(check bool) "attrs survive" true (back.M.attrs = model.M.attrs)
 
@@ -157,19 +347,14 @@ let model_gen =
       params = { Pnrule.Params.default with score_threshold; use_scoring };
     }
 
-(* A corruption: flip one body byte (past the version line, which is not
-   under the checksum's protection against a v2->v1 downgrade) or chop
-   the tail off. Either way the reader must answer with [Corrupt] — not
-   crash with a stray exception, and never return a model as if nothing
-   happened. *)
-let corruption_gen =
+(* A corruption: flip any one byte or chop the tail off. Either way the
+   reader must answer with [Corrupt] — not crash with a stray
+   exception, and never return a model as if nothing happened. *)
+let corrupt_gen s =
   let open QCheck.Gen in
-  model_gen >>= fun model ->
-  let s = S.to_string model in
-  let body_start = String.index s '\n' + 1 in
   oneof
     [
-      ( int_range body_start (String.length s - 1) >>= fun pos ->
+      ( int_range 0 (String.length s - 1) >>= fun pos ->
         int_range 1 255 >>= fun delta ->
         let b = Bytes.of_string s in
         Bytes.set b pos (Char.chr ((Char.code (Bytes.get b pos) + delta) land 0xff));
@@ -178,6 +363,8 @@ let corruption_gen =
         return (String.sub s 0 keep) );
     ]
 
+let corruption_gen = QCheck.Gen.(model_gen >>= fun model -> corrupt_gen (write model))
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:300 ~name:"serialize round-trip is a fixed point"
@@ -185,9 +372,9 @@ let qcheck_props =
       (fun model ->
         (* Textual fixed point is the right equality here: nan <> nan
            under (=), but "%h"-printed text is stable. *)
-        let s1 = S.to_string model in
-        let back = S.of_string s1 in
-        s1 = S.to_string back
+        let s1 = write model in
+        let back = single s1 in
+        s1 = write back
         && back.M.classes = model.M.classes
         && back.M.attrs = model.M.attrs
         && back.M.target = model.M.target);
@@ -261,6 +448,14 @@ let suite =
     Alcotest.test_case "serialize: fixed point" `Quick test_roundtrip_stable;
     Alcotest.test_case "serialize: file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "serialize: corrupt inputs raise" `Quick test_corrupt_inputs;
+    Alcotest.test_case "serialize: rules must fit the schema" `Quick
+      test_rules_must_fit_schema;
+    Alcotest.test_case "serialize: v1 and unknown versions are refused" `Quick
+      test_v1_is_refused;
+    Alcotest.test_case "serialize: golden v2 file loads as Single" `Quick
+      (check_golden ~kind:"pnrule" golden_v2);
+    Alcotest.test_case "serialize: golden v3 file loads as Boosted" `Quick
+      (check_golden ~kind:"boosted" golden_v3);
     Alcotest.test_case "serialize: backslash-heavy names" `Quick test_backslash_names;
     Alcotest.test_case "multiclass: accuracy and rare recall" `Quick test_multiclass_accuracy;
     Alcotest.test_case "multiclass: score vector" `Quick test_multiclass_scores_shape;
