@@ -19,10 +19,20 @@ type observer =
   actuals:int array ->
   unit
 
-(* Per-attribute chunk column storage, preallocated once and reused. *)
+(* Per-attribute chunk column storage, reused from chunk to chunk. *)
 type store =
   | Snum of float array
   | Scat of int array
+
+(* The CSV stores start at this many rows and double as rows arrive, up
+   to [chunk_size]: a request pays for the rows it carries. *)
+let initial_rows = 64
+
+(* [col] copied into the front of a fresh array of [cap] cells. *)
+let grown col cap =
+  let c = Array.make cap col.(0) in
+  Array.blit col 0 c 0 (Array.length col);
+  c
 
 exception Row_drop of string
 
@@ -138,18 +148,32 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
   let n_header = ref 0 in
   let class_idx = ref None in
   (* Chunk state. *)
+  let capacity = min chunk_size initial_rows in
   let stores =
     Array.map
       (fun (a : Pn_data.Attribute.t) ->
         match a.kind with
-        | Pn_data.Attribute.Numeric -> Snum (Array.make chunk_size 0.0)
-        | Pn_data.Attribute.Categorical _ -> Scat (Array.make chunk_size 0))
+        | Pn_data.Attribute.Numeric -> Snum (Array.make capacity 0.0)
+        | Pn_data.Attribute.Categorical _ -> Scat (Array.make capacity 0))
       attrs
   in
   (* Positions imputation must patch, per attribute, chunk-local. *)
   let misses = Array.make n_attrs [] in
-  let actuals = Array.make chunk_size (-1) in
+  let actuals = ref (Array.make capacity (-1)) in
   let fill = ref 0 in
+  (* Room for row [!fill]; the chunk flushes at [chunk_size] rows, so
+     the stores never outgrow it. *)
+  let reserve () =
+    if !fill = Array.length !actuals then begin
+      let cap = min chunk_size (2 * !fill) in
+      Array.iteri
+        (fun a -> function
+          | Snum col -> stores.(a) <- Snum (grown col cap)
+          | Scat col -> stores.(a) <- Scat (grown col cap))
+        stores;
+      actuals := grown !actuals cap
+    end
+  in
   let unknown_labels = ref 0 in
   let em = make_emitter ?pool ?observe ~scores ~model ~write () in
   (* Every data row — kept, skipped or malformed — counts against the
@@ -230,11 +254,13 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
       let columns =
         Array.map
           (function
-            | Snum col -> Pn_data.Dataset.Num (Array.sub col 0 n)
-            | Scat col -> Pn_data.Dataset.Cat (Array.sub col 0 n))
+            | Snum col ->
+              Pn_data.Dataset.Num (if n = Array.length col then col else Array.sub col 0 n)
+            | Scat col ->
+              Pn_data.Dataset.Cat (if n = Array.length col then col else Array.sub col 0 n))
           stores
       in
-      em.em_emit ~n ~columns ~actuals;
+      em.em_emit ~n ~columns ~actuals:!actuals;
       fill := 0
     end
   in
@@ -252,6 +278,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
           (Row_drop
              (Printf.sprintf "row has %d fields, header has %d" (Array.length cells)
                 !n_header));
+      reserve ();
       let k = !fill in
       (* All writes target index [k]; a dropped row simply never
          increments [fill], so partial writes are overwritten. *)
@@ -272,7 +299,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
           | Snum col ->
             if missing then impute_at ()
             else (
-              match float_of_string_opt cell with
+              match Pn_data.Decimal.parse cell with
               | Some v -> col.(k) <- v
               | None ->
                 raise
@@ -303,7 +330,7 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
       let k = !fill in
       (* Labels are metrics-only: unknown or missing labels never fail
          the feed. *)
-      actuals.(k) <-
+      !actuals.(k) <-
         (match !class_idx with
         | None -> -1
         | Some j -> (

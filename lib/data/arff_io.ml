@@ -178,7 +178,7 @@ let parse_source ?class_attribute ~(policy : Ingest_report.policy) source =
             else
               match sc.decls.(j) with
               | Dnumeric name -> (
-                match float_of_string_opt cell with
+                match Decimal.parse cell with
                 | Some v -> `Num v
                 | None ->
                   raise

@@ -6,7 +6,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
    like "nan", "inf" or "infinity" (or overflowing literals such as
    1e400) must stay categorical. *)
 let is_float s =
-  match float_of_string_opt (String.trim s) with
+  match Decimal.parse (String.trim s) with
   | Some v -> Float.is_finite v
   | None -> false
 
@@ -144,7 +144,11 @@ let build ?class_column ~policy ~with_source () =
                         Impute they become a median-patched placeholder *)
                      col.(k) <-
                        (if policy = Ingest_report.Impute then Float.nan else 0.0)
-                   else col.(k) <- float_of_string (String.trim cell)
+                   else (
+                     (* pass 1 found every cell of this column numeric *)
+                     match Decimal.parse (String.trim cell) with
+                     | Some v -> col.(k) <- v
+                     | None -> fail "non-numeric cell %S in column %S" cell names.(j))
                  | `Cat (col, table, vals) ->
                    if policy = Ingest_report.Impute && missing ~policy cell then
                      col.(k) <- -1

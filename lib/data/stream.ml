@@ -91,19 +91,24 @@ let read_into src dst pos len =
     end
   end
 
+let eof = -1
+
+(* The next byte as an int, or [eof] at end of input. The decoders read
+   every byte through here, so it returns an immediate rather than
+   allocating a [char option] per byte. *)
 let next src =
   if src.pos < src.len then begin
     let c = Bytes.unsafe_get src.buf src.pos in
     src.pos <- src.pos + 1;
-    Some c
+    Char.code c
   end
   else begin
     let n = refill src in
-    if n = 0 then None
+    if n = 0 then eof
     else begin
       src.len <- n;
       src.pos <- 1;
-      Some (Bytes.unsafe_get src.buf 0)
+      Char.code (Bytes.unsafe_get src.buf 0)
     end
   end
 
@@ -111,6 +116,8 @@ let next src =
 (* CSV state machine                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Each state reads one byte, handles [eof] first, then matches on the
+   byte as a character ([Char.unsafe_chr] is the identity on 0..255). *)
 let fold_csv src ~init ~f =
   let field = Buffer.create 64 in
   let fields = ref [] in
@@ -142,10 +149,8 @@ let fold_csv src ~init ~f =
   (* After a row error: drop input up to and including the next newline,
      then restart cleanly. *)
   let rec resync () =
-    match next src with
-    | None -> ()
-    | Some '\n' -> incr line
-    | Some _ -> resync ()
+    let b = next src in
+    if b = Char.code '\n' then incr line else if b <> eof then resync ()
   in
   let fail_row msg k =
     emit_error msg;
@@ -154,98 +159,111 @@ let fold_csv src ~init ~f =
     k ()
   in
   let rec field_start () =
-    match next src with
-    | None ->
+    let b = next src in
+    if b = eof then begin
       if !fields <> [] || Buffer.length field > 0 || !row_quoted then emit_row ()
-    | Some ',' ->
-      push_field ();
-      field_start ()
-    | Some '"' ->
-      row_quoted := true;
-      quoted ()
-    | Some '\n' ->
-      incr line;
-      emit_row ();
-      field_start ()
-    | Some '\r' -> cr_unquoted ()
-    | Some c ->
-      Buffer.add_char field c;
-      unquoted ()
+    end
+    else
+      match Char.unsafe_chr b with
+      | ',' ->
+        push_field ();
+        field_start ()
+      | '"' ->
+        row_quoted := true;
+        quoted ()
+      | '\n' ->
+        incr line;
+        emit_row ();
+        field_start ()
+      | '\r' -> cr_unquoted ()
+      | c ->
+        Buffer.add_char field c;
+        unquoted ()
   and unquoted () =
-    match next src with
-    | None -> emit_row ()
-    | Some ',' ->
-      push_field ();
-      field_start ()
-    | Some '"' -> fail_row "'\"' inside an unquoted field" field_start
-    | Some '\n' ->
-      incr line;
-      emit_row ();
-      field_start ()
-    | Some '\r' -> cr_unquoted ()
-    | Some c ->
-      Buffer.add_char field c;
-      unquoted ()
+    let b = next src in
+    if b = eof then emit_row ()
+    else
+      match Char.unsafe_chr b with
+      | ',' ->
+        push_field ();
+        field_start ()
+      | '"' -> fail_row "'\"' inside an unquoted field" field_start
+      | '\n' ->
+        incr line;
+        emit_row ();
+        field_start ()
+      | '\r' -> cr_unquoted ()
+      | c ->
+        Buffer.add_char field c;
+        unquoted ()
   (* Saw '\r' outside quotes: strip it when it closes the row, keep it as
      a literal character otherwise. *)
   and cr_unquoted () =
-    match next src with
-    | None -> emit_row () (* end of input is a row boundary: strip the CR *)
-    | Some '\n' ->
-      incr line;
-      emit_row ();
-      field_start ()
-    | Some ',' ->
-      Buffer.add_char field '\r';
-      push_field ();
-      field_start ()
-    | Some '"' ->
-      Buffer.add_char field '\r';
-      fail_row "'\"' inside an unquoted field" field_start
-    | Some '\r' ->
-      Buffer.add_char field '\r';
-      cr_unquoted ()
-    | Some c ->
-      Buffer.add_char field '\r';
-      Buffer.add_char field c;
-      unquoted ()
+    let b = next src in
+    if b = eof then emit_row () (* end of input is a row boundary: strip the CR *)
+    else
+      match Char.unsafe_chr b with
+      | '\n' ->
+        incr line;
+        emit_row ();
+        field_start ()
+      | ',' ->
+        Buffer.add_char field '\r';
+        push_field ();
+        field_start ()
+      | '"' ->
+        Buffer.add_char field '\r';
+        fail_row "'\"' inside an unquoted field" field_start
+      | '\r' ->
+        Buffer.add_char field '\r';
+        cr_unquoted ()
+      | c ->
+        Buffer.add_char field '\r';
+        Buffer.add_char field c;
+        unquoted ()
   and quoted () =
-    match next src with
-    | None -> fail_row "unterminated quoted field" (fun () -> ())
-    | Some '"' -> quote_seen ()
-    | Some '\n' ->
-      incr line;
-      Buffer.add_char field '\n';
-      quoted ()
-    | Some c ->
-      Buffer.add_char field c;
-      quoted ()
+    let b = next src in
+    if b = eof then fail_row "unterminated quoted field" (fun () -> ())
+    else
+      match Char.unsafe_chr b with
+      | '"' -> quote_seen ()
+      | '\n' ->
+        incr line;
+        Buffer.add_char field '\n';
+        quoted ()
+      | c ->
+        Buffer.add_char field c;
+        quoted ()
   (* Saw '"' inside a quoted field: either an escape ("") or the close. *)
   and quote_seen () =
-    match next src with
-    | None -> emit_row ()
-    | Some '"' ->
-      Buffer.add_char field '"';
-      quoted ()
-    | Some ',' ->
-      push_field ();
-      field_start ()
-    | Some '\n' ->
-      incr line;
-      emit_row ();
-      field_start ()
-    | Some '\r' -> cr_after_close ()
-    | Some c ->
-      fail_row (Printf.sprintf "character %C after closing quote" c) field_start
+    let b = next src in
+    if b = eof then emit_row ()
+    else
+      match Char.unsafe_chr b with
+      | '"' ->
+        Buffer.add_char field '"';
+        quoted ()
+      | ',' ->
+        push_field ();
+        field_start ()
+      | '\n' ->
+        incr line;
+        emit_row ();
+        field_start ()
+      | '\r' -> cr_after_close ()
+      | c ->
+        fail_row (Printf.sprintf "character %C after closing quote" c) field_start
   and cr_after_close () =
-    match next src with
-    | None -> emit_row ()
-    | Some '\n' ->
-      incr line;
-      emit_row ();
-      field_start ()
-    | Some c ->
-      fail_row (Printf.sprintf "character %C after closing quote" c) field_start
+    let b = next src in
+    if b = eof then emit_row ()
+    else
+      match Char.unsafe_chr b with
+      | '\n' ->
+        incr line;
+        emit_row ();
+        field_start ()
+      | c ->
+        fail_row (Printf.sprintf "character %C after closing quote" c) field_start
   in
   field_start ();
   !acc
@@ -268,15 +286,17 @@ let fold_lines src ~init ~f =
     acc := f !acc ~line:!line s
   in
   let rec loop () =
-    match next src with
-    | None -> if Buffer.length buf > 0 then emit ()
-    | Some '\n' ->
+    let b = next src in
+    if b = eof then (if Buffer.length buf > 0 then emit ())
+    else if b = Char.code '\n' then begin
       emit ();
       incr line;
       loop ()
-    | Some c ->
-      Buffer.add_char buf c;
+    end
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr b);
       loop ()
+    end
   in
   loop ();
   !acc

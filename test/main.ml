@@ -25,5 +25,6 @@ let () =
       ("adapt", Test_adapt.suite);
       ("fault", Test_fault.suite);
       ("columnar", Test_columnar.suite);
+      ("serve", Test_serve.suite);
       ("shard", Test_shard.suite);
     ]

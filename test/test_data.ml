@@ -579,6 +579,72 @@ let csv_equivalence_prop =
           let streamed = Csv.load ~buf_size path in
           D.equal in_memory streamed))
 
+(* [Decimal.parse] must equal [float_of_string_opt] bit for bit; any
+   NaN equals any NaN. *)
+let same_float a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y ->
+    (Float.is_nan x && Float.is_nan y)
+    || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let test_decimal_table () =
+  List.iter
+    (fun s ->
+      if not (same_float (Pn_data.Decimal.parse s) (float_of_string_opt s)) then
+        Alcotest.failf "Decimal.parse %S differs from float_of_string_opt" s)
+    [
+      "9007199254740992"; "9007199254740993"; "1e22"; "1e23"; "1e-22"; "1e-23"; "-0";
+      "-0.0"; "1."; ".5"; "+1"; "."; ""; "1e"; "1_0"; "0x1p3"; " 1"; "4.9e-324";
+      "1.7976931348623157e308"; "1e400";
+    ]
+
+(* Decimal text around the fast path's edges: up to 25 digits (the
+   significand crosses 2^53 near 16), a point anywhere or nowhere, and
+   exponents inside and outside [-22, 22]. *)
+let decimal_gen =
+  let open QCheck.Gen in
+  let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+  let exponent =
+    opt
+      (map3
+         (fun e sign x ->
+           Printf.sprintf "%c%s%d" e (if x < 0 then "-" else sign) (abs x))
+         (oneofl [ 'e'; 'E' ])
+         (oneofl [ ""; "+" ])
+         (oneof [ int_range (-30) 30; int_range (-400) 400 ]))
+  in
+  1 -- 25 >>= fun n ->
+  map3
+    (fun (sign, zeros) (body, dot) exp ->
+      let body =
+        match dot with
+        | None -> body
+        | Some k -> String.sub body 0 k ^ "." ^ String.sub body k (n - k)
+      in
+      sign ^ String.make zeros '0' ^ body ^ Option.value exp ~default:"")
+    (pair (oneofl [ ""; "+"; "-" ]) (0 -- 3))
+    (pair (digits n) (opt (0 -- n)))
+    exponent
+
+let decimal_props =
+  let agrees s = same_float (Pn_data.Decimal.parse s) (float_of_string_opt s) in
+  [
+    QCheck.Test.make ~count:20_000 ~name:"decimal text parses bit for bit like stdlib"
+      (QCheck.make ~print:(Printf.sprintf "%S") decimal_gen)
+      agrees;
+    QCheck.Test.make ~count:20_000
+      ~name:"arbitrary text parses bit for bit like stdlib"
+      QCheck.(
+        make ~print:(Printf.sprintf "%S")
+          Gen.(
+            string_size
+              ~gen:(oneofl (String.to_seq "0123456789.eE+-_xpnaif " |> List.of_seq))
+              (0 -- 12)))
+      agrees;
+  ]
+
 let qcheck_props =
   [
     csv_equivalence_prop;
@@ -682,5 +748,6 @@ let suite =
     Alcotest.test_case "summary numeric" `Quick test_summary_numeric;
     Alcotest.test_case "summary categorical" `Quick test_summary_categorical;
     Alcotest.test_case "summary per class" `Quick test_summary_per_class;
+    Alcotest.test_case "decimal parser edge cases" `Quick test_decimal_table;
   ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_props
+  @ List.map QCheck_alcotest.to_alcotest (qcheck_props @ decimal_props)

@@ -107,6 +107,80 @@ let test_fold_lines () =
   Alcotest.(check (list (pair int string))) "empty" [] (lines "");
   Alcotest.(check (list (pair int string))) "final newline" [ (1, "x") ] (lines "x\n")
 
+(* ------------------------------------------------------------------ *)
+(* Golden decode of arbitrary bytes                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The tokenizer's whole alphabet: field and row separators, quotes, a
+   bare CR, padding and two kinds of content byte. *)
+let alphabet = "a1,\"\n\r "
+
+(* Bytes drawn uniformly from [alphabet] up to the [rows]-th newline.
+   The generator is the library's splitmix64, so the corpus and its
+   digests do not depend on the stdlib's [Random]. *)
+let corpus ~seed ~rows =
+  let rng = Pn_util.Rng.create seed in
+  let b = Buffer.create (rows * 8) in
+  let lines = ref 0 in
+  while !lines < rows do
+    let c = alphabet.[Pn_util.Rng.int rng (String.length alphabet)] in
+    if c = '\n' then incr lines;
+    Buffer.add_char b c
+  done;
+  Buffer.contents b
+
+(* Every row's line number and cells (length-prefixed), each error as
+   one marker: messages are for humans and stay out of the digest. *)
+let csv_digest decoded =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (line, r) ->
+      match r with
+      | Ok cells ->
+        Printf.bprintf b "%d:%d" line (Array.length cells);
+        Array.iter (fun c -> Printf.bprintf b "|%d:%s" (String.length c) c) cells;
+        Buffer.add_char b '\n'
+      | Error _ -> Printf.bprintf b "%d:E\n" line)
+    decoded;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let lines_digest decoded =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (line, text) -> Printf.bprintf b "%d:%d:%s\n" line (String.length text) text)
+    decoded;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A source that hands out [s] through a refill buffer of [buf_size]
+   bytes, so refills split rows, quotes, escapes and CRLF pairs. *)
+let chunked ~buf_size s =
+  let pos = ref 0 in
+  S.of_refill ~buf_size (fun buf ->
+      let n = min (Bytes.length buf) (String.length s - !pos) in
+      Bytes.blit_string s !pos buf 0 n;
+      pos := !pos + n;
+      n)
+
+let lines_of src =
+  List.rev (S.fold_lines src ~init:[] ~f:(fun acc ~line text -> (line, text) :: acc))
+
+(* Digests taken from the decoder as it stood before the byte reader
+   stopped allocating: any change to a state, a line number, a cell or
+   the resync after an error changes them. *)
+let test_golden_digests () =
+  let text = corpus ~seed:20 ~rows:2000 in
+  Alcotest.(check int) "corpus size" 13_478 (String.length text);
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check string) ("fold_csv " ^ name) "15a419e200bdb17840074dd66d184fdc"
+        (csv_digest (rows_of (src ())));
+      Alcotest.(check string) ("fold_lines " ^ name) "28bf84677115011b086c03b2488d4614"
+        (lines_digest (lines_of (src ()))))
+    [
+      ("of_string", fun () -> S.of_string text);
+      ("7-byte refills", fun () -> chunked ~buf_size:7 text);
+    ]
+
 let qcheck_props =
   (* Fields made only of safe characters round-trip through quoting at
      any buffer size; this hammers refill boundaries randomly. *)
@@ -124,7 +198,22 @@ let qcheck_props =
     Buffer.add_char b '"';
     Buffer.contents b
   in
+  let byte_gen =
+    QCheck.Gen.oneofl (List.init (String.length alphabet) (String.get alphabet))
+  in
   [
+    (* Errors, resync and bare CRs that straddle a refill: every buffer
+       size decodes arbitrary bytes exactly as the whole string does,
+       error messages included. *)
+    QCheck.Test.make ~count:300 ~name:"arbitrary bytes decode alike at every buffer size"
+      QCheck.(make ~print:(Printf.sprintf "%S") Gen.(string_size ~gen:byte_gen (0 -- 120)))
+      (fun text ->
+        let csv = rows text and physical = lines_of (S.of_string text) in
+        List.for_all
+          (fun buf_size ->
+            rows_of (chunked ~buf_size text) = csv
+            && lines_of (chunked ~buf_size text) = physical)
+          (List.init 24 (fun k -> k + 1)));
     QCheck.Test.make ~count:300 ~name:"quoted fields round-trip at any buffer size"
       QCheck.(
         make
@@ -166,5 +255,6 @@ let suite =
     Alcotest.test_case "blank rows" `Quick test_blank_rows;
     Alcotest.test_case "buffer boundaries" `Quick test_buffer_boundaries;
     Alcotest.test_case "fold_lines" `Quick test_fold_lines;
+    Alcotest.test_case "golden decode of arbitrary bytes" `Quick test_golden_digests;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_props
