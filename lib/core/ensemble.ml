@@ -175,15 +175,18 @@ let compiled t =
 (* Raw per-member coverage: one bitset per member, [||] for the empty
    ensemble. Exposed so the serving path can derive scores AND per-rule
    firing counts from a single eval. *)
-let eval_matches ?pool t ds =
+let eval_matches ?pool ?scratch t ds =
   if Array.length t.members = 0 then [||]
-  else Pn_rules.Compiled.cover ?pool (compiled t) ds
+  else Pn_rules.Compiled.cover ?pool ?scratch (compiled t) ds
 
 (* One member at a time, in member order, adding its weight to every
    record it covers: each record's score is the same float sum, in the
    same order, as the per-record reference walk. *)
-let scores_of_matches t ~n cov =
-  let out = Array.make n t.bias in
+let k_scores = Pn_util.Scratch.key ()
+
+let scores_of_matches ?(scratch = Pn_util.Scratch.create ()) t ~n cov =
+  let out = Pn_util.Scratch.floats scratch k_scores n in
+  Array.fill out 0 n t.bias;
   Array.iteri
     (fun l m ->
       let weight = m.weight in

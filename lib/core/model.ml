@@ -36,8 +36,8 @@ let compiled t =
     [| t.p_rules.Pn_rules.Rule_list.rules; t.n_rules.Pn_rules.Rule_list.rules |]
 
 (* (first P-rule, first N-rule) per record, -1 for no match. *)
-let first_matches ?pool t ds =
-  let fm = Pn_rules.Compiled.eval ?pool (compiled t) ds in
+let first_matches ?pool ?scratch t ds =
+  let fm = Pn_rules.Compiled.eval ?pool ?scratch (compiled t) ds in
   (fm.(0), fm.(1))
 
 let score_of_matches t ~p ~n =

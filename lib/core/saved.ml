@@ -76,35 +76,49 @@ let score_all ?pool t ds =
 (* The serving batch path: one compiled-engine pass yields predictions,
    optional scores, and the per-rule firing evidence — so arming the
    drift monitor (and asking for scores) costs no extra evals. *)
-let eval_batch ?pool ?(scores = false) t ds =
+let k_preds = Pn_util.Scratch.key ()
+let k_scores = Pn_util.Scratch.key ()
+
+let eval_batch ?pool ?(scratch = Pn_util.Scratch.create ()) ?(scores = false) t ds =
   let n = Pn_data.Dataset.n_records ds in
+  let preds = Pn_util.Scratch.bools scratch k_preds n in
   match t with
   | Single m ->
-    let pm, nm = Model.first_matches ?pool m ds in
+    let pm, nm = Model.first_matches ?pool ~scratch m ds in
     let score i =
       Model.score_of_matches m ~p:(Array.unsafe_get pm i)
         ~n:(Array.unsafe_get nm i)
     in
-    let preds =
-      if m.Model.params.Params.use_scoring then begin
-        let thr = m.Model.params.Params.score_threshold in
-        Array.init n (fun i -> score i > thr)
+    if m.Model.params.Params.use_scoring then begin
+      let thr = m.Model.params.Params.score_threshold in
+      for i = 0 to n - 1 do
+        Array.unsafe_set preds i (score i > thr)
+      done
+    end
+    else
+      for i = 0 to n - 1 do
+        Array.unsafe_set preds i
+          (Array.unsafe_get pm i >= 0 && Array.unsafe_get nm i < 0)
+      done;
+    let scores_v =
+      if scores then begin
+        let sv = Pn_util.Scratch.floats scratch k_scores n in
+        for i = 0 to n - 1 do
+          Array.unsafe_set sv i (score i)
+        done;
+        Some sv
       end
-      else
-        Array.init n (fun i ->
-            Array.unsafe_get pm i >= 0 && Array.unsafe_get nm i < 0)
+      else None
     in
-    let scores_v = if scores then Some (Array.init n score) else None in
     { preds; scores_v; fires = First_match pm }
   | Boosted e ->
-    let cov = Ensemble.eval_matches ?pool e ds in
-    let sv = Ensemble.scores_of_matches e ~n cov in
+    let cov = Ensemble.eval_matches ?pool ~scratch e ds in
+    let sv = Ensemble.scores_of_matches ~scratch e ~n cov in
     let thr = e.Ensemble.threshold in
-    {
-      preds = Array.init n (fun i -> sv.(i) > thr);
-      scores_v = (if scores then Some sv else None);
-      fires = Per_rule cov;
-    }
+    for i = 0 to n - 1 do
+      Array.unsafe_set preds i (Array.unsafe_get sv i > thr)
+    done;
+    { preds; scores_v = (if scores then Some sv else None); fires = Per_rule cov }
 
 let evaluate ?pool t ds =
   match t with

@@ -209,12 +209,14 @@ type reader = {
   src : Stream.source;
   sch : schema;
   mutable wanted : bool array;
-  (* Decode buffers, length [group_capacity sch], allocated at the first
-     [read_group] (after [set_wanted]) and reused for every group. *)
+  (* Decode buffers, length [group_capacity sch], borrowed from [scratch]
+     at the first [read_group] (after [set_wanted]) and reused for every
+     group. *)
+  scratch : Pn_util.Scratch.t;
   mutable cols : rcol array;
   mutable miss : bool array option array;
   mutable labels : int array option;
-  mutable scratch : bytes;
+  mutable block : bytes;
   mutable next_group : int;
   mutable started : bool;
   mutable finished : bool;
@@ -306,11 +308,12 @@ let parse_header payload =
   if !pos <> String.length payload then fail "trailing bytes in header";
   { n_rows; group_size; n_groups; has_labels; classes; attrs }
 
-let open_reader src =
+let open_reader ?(scratch = Pn_util.Scratch.create ()) src =
   let crcs = Buffer.create 256 in
   let r0 =
     {
       src;
+      scratch;
       sch =
         {
           n_rows = 0;
@@ -324,14 +327,14 @@ let open_reader src =
       cols = [||];
       miss = [||];
       labels = None;
-      scratch = Bytes.create 64;
+      block = Bytes.create 64;
       next_group = 0;
       started = false;
       finished = false;
       crcs;
     }
   in
-  let b = r0.scratch in
+  let b = r0.block in
   read_exact r0 b 0 (String.length magic);
   if Bytes.sub_string b 0 (String.length magic) <> magic then
     fail "not a pnc columnar file (bad magic)";
@@ -360,32 +363,40 @@ let set_wanted r mask =
     invalid_arg "Columnar.set_wanted: mask length";
   r.wanted <- Array.copy mask
 
+let k_num = Pn_util.Scratch.key ()
+let k_cat = Pn_util.Scratch.key ()
+let k_miss = Pn_util.Scratch.key ()
+let k_labels = Pn_util.Scratch.key ()
+let k_block = Pn_util.Scratch.key ()
+
 let prepare_buffers r =
   let gs = group_capacity r.sch in
+  let s = r.scratch in
   r.cols <-
     Array.mapi
       (fun j (a : Attribute.t) ->
         if not r.wanted.(j) then Rskip
         else
           match a.kind with
-          | Attribute.Numeric -> Rnum (Array.make gs 0.0)
-          | Attribute.Categorical _ -> Rcat (Array.make gs 0))
+          | Attribute.Numeric -> Rnum (Pn_util.Scratch.floats s k_num ~at:j gs)
+          | Attribute.Categorical _ -> Rcat (Pn_util.Scratch.ints s k_cat ~at:j gs))
       r.sch.attrs;
   r.miss <- Array.make (Array.length r.sch.attrs) None;
-  if r.sch.has_labels then r.labels <- Some (Array.make gs 0);
+  if r.sch.has_labels then r.labels <- Some (Pn_util.Scratch.ints s k_labels gs);
   (* Big enough for the largest block — flag byte + bitmap + 8-byte
      cells — plus the trailing CRC field read in place after it. The
      floor covers the 16-byte group-header and footer reads when the
      group size is tiny. *)
-  r.scratch <- Bytes.create (max 16 (1 + ((gs + 7) / 8) + (gs * 8) + 4));
+  r.block <-
+    Pn_util.Scratch.bytes s k_block (max 16 (1 + ((gs + 7) / 8) + (gs * 8) + 4));
   r.started <- true
 
-(* Read one [len]-byte block payload (at [offset] into scratch, for
+(* Read one [len]-byte block payload (at [offset] into [block], for
    payloads whose length depends on a prefix byte already read), verify
    its stored CRC against the bytes, and feed the stored field into the
    running file checksum. *)
 let finish_block r ~len =
-  let b = r.scratch in
+  let b = r.block in
   read_exact r b len 4;
   let stored = Int32.to_int (Bytes.get_int32_le b len) land 0xFFFFFFFF in
   let actual = Pn_util.Crc32.string ~len (Bytes.unsafe_to_string b) in
@@ -401,7 +412,7 @@ let get_code b ~width pos =
   | _ -> Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
 let read_footer r =
-  let b = r.scratch in
+  let b = r.block in
   read_exact r b 0 16;
   if Bytes.sub_string b 0 4 <> "PNCE" then fail "bad footer magic";
   let rows = Bytes.get_int64_le b 4 in
@@ -423,7 +434,7 @@ let read_group r =
       None
     end
     else begin
-      let b = r.scratch in
+      let b = r.block in
       (* Group header: magic, index, row count — under its own CRC so a
          flipped row count can never misalign the block reads. *)
       read_exact r b 0 12;
@@ -463,7 +474,9 @@ let read_group r =
               match r.miss.(j) with
               | Some m -> m
               | None ->
-                let m = Array.make (group_capacity r.sch) false in
+                let m =
+                  Pn_util.Scratch.bools r.scratch k_miss ~at:j (group_capacity r.sch)
+                in
                 r.miss.(j) <- Some m;
                 m
             in

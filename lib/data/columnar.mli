@@ -84,8 +84,11 @@ val save :
 type reader
 
 (** [open_reader source] reads and verifies the magic and header.
-    Raises {!Corrupt}. *)
-val open_reader : Stream.source -> reader
+    Raises {!Corrupt}. The group buffers are borrowed from [scratch]
+    (a fresh one by default), so a serving worker decodes every request
+    into the same arrays; they stay valid until that scratch's next
+    reader. *)
+val open_reader : ?scratch:Pn_util.Scratch.t -> Stream.source -> reader
 
 val schema : reader -> schema
 

@@ -417,14 +417,21 @@ let metrics_text t =
            pnrule_feedback_reservoir_rows %d\n"
           s.Pn_adapt.Retrainer.reservoir_rows)
 
-(* The body stream's refill buffer: never larger than the body, so a
-   small request does not allocate a 64 KiB scratch. *)
-let stream_buf_size len = max 1 (min len 65536)
+(* The body stream's refill buffer: the worker's own 64 KiB, reused by
+   every request it serves. *)
+let k_body = Pn_util.Scratch.key ()
+
+let body_source conn ~scratch ~len ~guard =
+  let reader = Http.body_reader conn ~length:len in
+  Pn_data.Stream.of_refill ~buf:(Pn_util.Scratch.bytes scratch k_body 65536)
+    (fun buf ->
+      guard ();
+      reader buf)
 
 (* Serving pools: each worker domain is already one lane of parallelism,
    and Pool.map_array does not support concurrent submitters — so every
    request scores sequentially in its worker domain. *)
-let predict t conn (req : Http.request) ~index ~keep =
+let predict t conn (req : Http.request) ~index ~scratch ~keep =
   (* Per-request overrides, validated before any body byte is read. *)
   let q name = List.assoc_opt name req.query in
   let policy =
@@ -498,12 +505,7 @@ let predict t conn (req : Http.request) ~index ~keep =
         let guard () =
           if Unix.gettimeofday () > deadline_at then raise Deadline
         in
-        let reader = Http.body_reader conn ~length:len in
-        let source =
-          Pn_data.Stream.of_refill ~buf_size:(stream_buf_size len) (fun buf ->
-              guard ();
-              reader buf)
-        in
+        let source = body_source conn ~scratch ~len ~guard in
         let resp = Http.start_stream conn ~status:200 ~keep_alive:keep () in
         let write s =
           guard ();
@@ -525,13 +527,13 @@ let predict t conn (req : Http.request) ~index ~keep =
         match
           if columnar then
             Pnrule.Serve.predict_columnar_stream ~policy ~scores
-              ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ?observe
-              ~model:st.model ~source ~write ()
+              ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
+              ?observe ~model:st.model ~source ~write ()
           else
             Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
               ?class_column:(q "class-column") ~scores ~max_rows:t.max_rows
-              ~pool:Pn_util.Pool.sequential ?observe ~model:st.model ~source
-              ~write ()
+              ~pool:Pn_util.Pool.sequential ~scratch ?observe ~model:st.model
+              ~source ~write ()
         with
         | report ->
           Http.stream_finish resp;
@@ -570,7 +572,7 @@ let predict t conn (req : Http.request) ~index ~keep =
    back; labeled rows are copied out of the decoder's buffers into the
    retrainer's reservoir. A body that resolves no labels at all is a
    client error: feedback without labels cannot feed anything. *)
-let feedback t conn (req : Http.request) ~index ~keep =
+let feedback t conn (req : Http.request) ~index ~scratch ~keep =
   match Atomic.get t.adapt with
   | None ->
     Http.respond conn ~status:409
@@ -641,12 +643,7 @@ let feedback t conn (req : Http.request) ~index ~keep =
           let guard () =
             if Unix.gettimeofday () > deadline_at then raise Deadline
           in
-          let reader = Http.body_reader conn ~length:len in
-          let source =
-            Pn_data.Stream.of_refill ~buf_size:(stream_buf_size len) (fun buf ->
-                guard ();
-                reader buf)
-          in
+          let source = body_source conn ~scratch ~len ~guard in
           let dr = Pn_adapt.Retrainer.drift r in
           let attrs = Pnrule.Saved.attrs st.model in
           let classes = Pnrule.Saved.classes st.model in
@@ -683,13 +680,13 @@ let feedback t conn (req : Http.request) ~index ~keep =
           match
             if columnar then
               Pnrule.Serve.predict_columnar_stream ~policy ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~observe
-                ~model:st.model ~source ~write:ignore ()
+                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
+                ~observe ~model:st.model ~source ~write:ignore ()
             else
               Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
                 ?class_column:(q "class-column") ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~observe
-                ~model:st.model ~source ~write:ignore ()
+                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
+                ~observe ~model:st.model ~source ~write:ignore ()
           with
           | report ->
             if !labeled_total = 0 then begin
@@ -813,7 +810,7 @@ let admin t conn (req : Http.request) ~back ~keep =
         ();
       (500, `Close))
 
-let dispatch t conn (req : Http.request) ~index ~keep =
+let dispatch t conn (req : Http.request) ~index ~scratch ~keep =
   match (req.Http.meth, req.Http.path) with
   | "POST", "/predict" ->
     if Listener.draining t.listener then begin
@@ -825,7 +822,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
         ~body:"draining; retry against another instance\n" ();
       (Telemetry.Predict, (503, `Close))
     end
-    else (Telemetry.Predict, predict t conn req ~index ~keep)
+    else (Telemetry.Predict, predict t conn req ~index ~scratch ~keep)
   | _, "/predict" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
     (Telemetry.Predict, (405, `Close))
@@ -837,7 +834,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
         ~body:"draining; retry against another instance\n" ();
       (Telemetry.Feedback, (503, `Close))
     end
-    else (Telemetry.Feedback, feedback t conn req ~index ~keep)
+    else (Telemetry.Feedback, feedback t conn req ~index ~scratch ~keep)
   | _, "/feedback" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
     (Telemetry.Feedback, (405, `Close))
@@ -888,7 +885,7 @@ let dispatch t conn (req : Http.request) ~index ~keep =
     Http.respond conn ~status:404 ~body:(Printf.sprintf "no route %s\n" path) ();
     (Telemetry.Other, (404, `Close))
 
-let handle t ~index conn =
+let handle t ~index ~scratch conn =
   let slot = Telemetry.slot t.telemetry index in
   match Http.read_request conn with
   | exception Http.Disconnect -> `Close
@@ -921,7 +918,7 @@ let handle t ~index conn =
           && not req.Http.chunked_body
         in
         let result =
-          match dispatch t conn req ~index ~keep with
+          match dispatch t conn req ~index ~scratch ~keep with
           | r -> r
           | exception (Http.Disconnect | Http.Timeout) ->
             (* nginx's 499: the client went away mid-request *)

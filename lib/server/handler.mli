@@ -89,11 +89,14 @@ val set_adapt : t -> Pn_adapt.Retrainer.t -> unit
 
 val adapt : t -> Pn_adapt.Retrainer.t option
 
-(** [handle t ~index conn] reads one request off [conn], dispatches
-    it, writes the response, and records telemetry into worker
-    [index]'s slot (the same index addresses the drift monitor's
-    per-domain counters). Returns whether the connection may serve
-    another request. Never raises: protocol errors become 4xx
-    responses, handler bugs become 500s, and a vanished peer becomes
-    [`Close]. *)
-val handle : t -> index:int -> Http.conn -> [ `Keep | `Close ]
+(** [handle t ~index ~scratch conn] reads one request off [conn],
+    dispatches it, writes the response, and records telemetry into
+    worker [index]'s slot (the same index addresses the drift monitor's
+    per-domain counters). The request body streams through, and is
+    decoded and scored in, buffers borrowed from the worker's
+    [scratch]; the drift observer sees them only during its call.
+    Returns whether the connection may serve another request. Never
+    raises: protocol errors become 4xx responses, handler bugs become
+    500s, and a vanished peer becomes [`Close]. *)
+val handle :
+  t -> index:int -> scratch:Pn_util.Scratch.t -> Http.conn -> [ `Keep | `Close ]

@@ -2,6 +2,8 @@ exception Bad_request of string
 exception Disconnect
 exception Timeout
 
+module Scratch = Pn_util.Scratch
+
 type conn = {
   fd : Unix.file_descr;
   rbuf : bytes;
@@ -10,20 +12,21 @@ type conn = {
   mutable wretries : int;
   write_fault : string;
   read_fault : string option;
+  scratch : Scratch.t;
 }
 
-let make_conn ?(buf_size = 16384) ?(write_fault = "serve.chunk_write")
-    ?read_fault fd =
+(* Server and client conns borrow different read buffers: a router
+   worker holds one of each at once. *)
+let k_server_rbuf = Scratch.key ()
+let k_client_rbuf = Scratch.key ()
+
+let conn_of_fd ~key ?(buf_size = 16384) ?(scratch = Scratch.create ())
+    ?(write_fault = "serve.chunk_write") ?read_fault fd =
   if buf_size <= 0 then invalid_arg "Http.make_conn: buf_size";
-  {
-    fd;
-    rbuf = Bytes.create buf_size;
-    rpos = 0;
-    rlen = 0;
-    wretries = 0;
-    write_fault;
-    read_fault;
-  }
+  let rbuf = Scratch.bytes scratch key buf_size in
+  { fd; rbuf; rpos = 0; rlen = 0; wretries = 0; write_fault; read_fault; scratch }
+
+let make_conn = conn_of_fd ~key:k_server_rbuf
 
 let fd c = c.fd
 
@@ -84,13 +87,13 @@ let refill c =
    because the loop resumes at the new offset. *)
 let max_write_retries = 5
 
-let write_all c s =
-  let len = String.length s in
+let write_bytes c b off len =
+  let stop = off + len in
   let rec go off attempts =
-    if off < len then
+    if off < stop then
       match
-        let want = Pn_util.Fault.cap c.write_fault (len - off) in
-        Unix.write_substring c.fd s off want
+        let want = Pn_util.Fault.cap c.write_fault (stop - off) in
+        Unix.write c.fd b off want
       with
       | n -> go (off + n) 0
       | exception
@@ -102,7 +105,80 @@ let write_all c s =
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         raise Disconnect
   in
-  go 0 0
+  go off 0
+
+let write_all c s = write_bytes c (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* ------------------------------------------------------------------ *)
+(* Slabs: a body with room for its head in front                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A body assembled (or read) behind [room] spare bytes, so the head,
+   which is formatted last, goes into the room and head and body leave
+   in one write with no copy of the body. A slab owned by a scratch
+   grows inside it. A slab over a string has no room: it is read, or,
+   when empty, grown into fresh bytes of its own. *)
+type slab = {
+  owner : (Scratch.t * Scratch.key) option;
+  room : int;
+  mutable buf : bytes;
+  mutable len : int;  (* end of the body, room included *)
+}
+
+(* A response or request head of this many bytes fits the room. *)
+let head_room = 1024
+
+let slab scratch key =
+  let buf = Scratch.bytes scratch key (head_room + 4096) in
+  { owner = Some (scratch, key); room = head_room; buf; len = head_room }
+
+let slab_of_string s =
+  { owner = None; room = 0; buf = Bytes.unsafe_of_string s; len = String.length s }
+
+let slab_length s = s.len - s.room
+
+(* Room for [n] more body bytes, doubling. *)
+let reserve s n =
+  let need = s.len + n in
+  if need > Bytes.length s.buf then begin
+    let cap = max need (2 * Bytes.length s.buf) in
+    let buf =
+      match s.owner with
+      | Some (scratch, key) -> Scratch.bytes scratch key cap
+      | None -> Bytes.create cap
+    in
+    Bytes.blit s.buf 0 buf 0 s.len;
+    s.buf <- buf
+  end
+
+let slab_add_string s str =
+  let n = String.length str in
+  reserve s n;
+  Bytes.blit_string str 0 s.buf s.len n;
+  s.len <- s.len + n
+
+(* A full slab of no room and no owner is the string itself. *)
+let slab_contents s =
+  match s.owner with
+  | None when s.room = 0 && s.len = Bytes.length s.buf -> Bytes.unsafe_to_string s.buf
+  | None | Some _ -> Bytes.sub_string s.buf s.room (slab_length s)
+
+(* [head] and the slab's body leave in one write: the head goes into the
+   room in front of the body when it fits, else head and body are
+   copied into one buffer of their combined length. *)
+let write_slab c head s =
+  let hlen = Buffer.length head and blen = slab_length s in
+  if hlen <= s.room then begin
+    let off = s.room - hlen in
+    Buffer.blit head 0 s.buf off hlen;
+    write_bytes c s.buf off (hlen + blen)
+  end
+  else begin
+    let out = Bytes.create (hlen + blen) in
+    Buffer.blit head 0 out 0 hlen;
+    Bytes.blit s.buf s.room out hlen blen;
+    write_bytes c out 0 (hlen + blen)
+  end
 
 let wait_readable c ~timeout ~stop =
   if c.rpos < c.rlen then `Readable
@@ -391,22 +467,18 @@ let add_head buf ~status ~content_type ~keep_alive extra =
   extra buf;
   Buffer.add_string buf "\r\n"
 
-(* Head and body leave in one write, from one buffer of exactly their
-   combined length: the body is copied once. *)
-let write_message c head body =
-  let hlen = Buffer.length head and blen = String.length body in
-  let out = Bytes.create (hlen + blen) in
-  Buffer.blit head 0 out 0 hlen;
-  Bytes.blit_string body 0 out hlen blen;
-  write_all c (Bytes.unsafe_to_string out)
-
-let respond c ?(content_type = "text/plain; charset=utf-8") ?(keep_alive = false)
-    ?(headers = []) ~status ~body () =
+let respond_slab c ?(content_type = "text/plain; charset=utf-8")
+    ?(keep_alive = false) ?(headers = []) ~status s =
   let head = Buffer.create 256 in
   add_head head ~status ~content_type ~keep_alive (fun buf ->
-      Printf.bprintf buf "content-length: %d\r\n" (String.length body);
+      Printf.bprintf buf "content-length: %d\r\n" (slab_length s);
       List.iter (fun (k, v) -> Printf.bprintf buf "%s: %s\r\n" k v) headers);
-  write_message c head body
+  write_slab c head s
+
+(* A string body has no room in front, so head and body are copied once
+   into one buffer of their combined length. *)
+let respond c ?content_type ?keep_alive ?headers ~status ~body () =
+  respond_slab c ?content_type ?keep_alive ?headers ~status (slab_of_string body)
 
 (* Pre-admission refusal, called from the listener domain on a socket
    that has no [conn] yet: one best-effort write of a tiny canned
@@ -433,11 +505,12 @@ type stream_response = {
   content_type : string;
   keep_alive : bool;
   threshold : int;
-  pending : Buffer.t;
-  chunk : Buffer.t;
+  body : slab;  (* the pending body, then one chunk at a time *)
   mutable started : bool;
   mutable finished : bool;
 }
+
+let k_stream = Scratch.key ()
 
 let start_stream c ?(content_type = "text/csv; charset=utf-8") ?(threshold = 16384)
     ~status ~keep_alive () =
@@ -447,23 +520,25 @@ let start_stream c ?(content_type = "text/csv; charset=utf-8") ?(threshold = 163
     content_type;
     keep_alive;
     threshold;
-    pending = Buffer.create 4096;
-    chunk = Buffer.create 4096;
+    body = slab c.scratch k_stream;
     started = false;
     finished = false;
   }
 
 let stream_started r = r.started
 
-(* One transfer chunk per call, head and payload in a single write. *)
-let send_chunk r s =
-  if String.length s > 0 then begin
-    Buffer.clear r.chunk;
-    Printf.bprintf r.chunk "%x\r\n" (String.length s);
-    Buffer.add_string r.chunk s;
-    Buffer.add_string r.chunk "\r\n";
-    write_all r.sc (Buffer.contents r.chunk)
-  end
+(* The slab's body as one transfer chunk, size line in the room and
+   payload in a single write; the slab is then empty again. *)
+let send_chunk r =
+  let s = r.body in
+  let n = slab_length s in
+  if n > 0 then begin
+    let head = Buffer.create 16 in
+    Printf.bprintf head "%x\r\n" n;
+    slab_add_string s "\r\n";
+    write_slab r.sc head s
+  end;
+  s.len <- s.room
 
 let start_now r =
   let buf = Buffer.create 256 in
@@ -475,15 +550,11 @@ let start_now r =
 
 let stream_write r s =
   if r.finished then invalid_arg "Http.stream_write: finished";
-  if r.started then send_chunk r s
-  else begin
-    Buffer.add_string r.pending s;
-    if Buffer.length r.pending >= r.threshold then begin
-      start_now r;
-      let s = Buffer.contents r.pending in
-      Buffer.clear r.pending;
-      send_chunk r s
-    end
+  slab_add_string r.body s;
+  if r.started then send_chunk r
+  else if slab_length r.body >= r.threshold then begin
+    start_now r;
+    send_chunk r
   end
 
 let stream_finish r =
@@ -491,10 +562,8 @@ let stream_finish r =
     r.finished <- true;
     if r.started then write_all r.sc "0\r\n\r\n"
     else
-      respond r.sc ~content_type:r.content_type ~keep_alive:r.keep_alive
-        ~status:r.status
-        ~body:(Buffer.contents r.pending)
-        ()
+      respond_slab r.sc ~content_type:r.content_type ~keep_alive:r.keep_alive
+        ~status:r.status r.body
   end
 
 (* ------------------------------------------------------------------ *)
@@ -517,7 +586,7 @@ type response = {
 
 let rheader r name = List.assoc_opt name r.rheaders
 
-let connect ?buf_size ?write_fault ?read_fault ~host ~port ~timeout () =
+let connect ?buf_size ?scratch ?write_fault ?read_fault ~host ~port ~timeout () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
@@ -527,53 +596,64 @@ let connect ?buf_size ?write_fault ?read_fault ~host ~port ~timeout () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  make_conn ?buf_size ?write_fault ?read_fault fd
+  conn_of_fd ~key:k_client_rbuf ?buf_size ?scratch ?write_fault ?read_fault fd
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let send_request c ~meth ~target ?(headers = []) ?body () =
+let send c ~meth ~target ~headers ~framed s =
   let head = Buffer.create 256 in
   Printf.bprintf head "%s %s HTTP/1.1\r\n" meth target;
   List.iter (fun (k, v) -> Printf.bprintf head "%s: %s\r\n" k v) headers;
-  (match body with
-  | Some b -> Printf.bprintf head "content-length: %d\r\n" (String.length b)
-  | None -> ());
+  if framed then Printf.bprintf head "content-length: %d\r\n" (slab_length s);
   Buffer.add_string head "\r\n";
-  write_message c head (Option.value body ~default:"")
+  write_slab c head s
 
-(* Exactly [n] bytes: whatever the connection buffer already holds,
-   then straight from the socket into the result. EOF first raises
+let send_request_slab c ~meth ~target ?(headers = []) s =
+  send c ~meth ~target ~headers ~framed:true s
+
+let send_request c ~meth ~target ?(headers = []) ?body () =
+  send c ~meth ~target ~headers ~framed:(body <> None)
+    (slab_of_string (Option.value body ~default:""))
+
+(* Exactly [n] more body bytes into the slab: whatever the connection
+   buffer already holds, then straight from the socket. EOF first raises
    [Disconnect] (a backend that died mid-response is a retryable IO
    failure, not a protocol error). *)
-let read_exact c n =
-  let out = Bytes.create n in
+let read_exact_into c s n =
+  reserve s n;
   let off = min n (c.rlen - c.rpos) in
-  Bytes.blit c.rbuf c.rpos out 0 off;
+  Bytes.blit c.rbuf c.rpos s.buf s.len off;
   c.rpos <- c.rpos + off;
-  let off = ref off in
-  while !off < n do
-    match read_into c out !off (n - !off) with
+  let stop = s.len + n in
+  s.len <- s.len + off;
+  while s.len < stop do
+    match read_into c s.buf s.len (stop - s.len) with
     | 0 -> raise Disconnect
-    | k -> off := !off + k
-  done;
-  Bytes.unsafe_to_string out
+    | k -> s.len <- s.len + k
+  done
 
-let read_to_eof c ~max_body =
-  let buf = Buffer.create 4096 in
+let next_byte c =
+  if c.rpos >= c.rlen && not (refill c) then raise Disconnect;
+  let b = Bytes.get c.rbuf c.rpos in
+  c.rpos <- c.rpos + 1;
+  b
+
+let read_to_eof c ~max_body s =
   let rec go () =
     if c.rpos < c.rlen then begin
-      Buffer.add_subbytes buf c.rbuf c.rpos (c.rlen - c.rpos);
+      let n = c.rlen - c.rpos in
+      reserve s n;
+      Bytes.blit c.rbuf c.rpos s.buf s.len n;
+      s.len <- s.len + n;
       c.rpos <- c.rlen
     end;
-    if Buffer.length buf > max_body then
+    if slab_length s > max_body then
       raise (Bad_request "response body too large");
     if refill c then go ()
   in
-  go ();
-  Buffer.contents buf
+  go ()
 
-let read_chunked c ~max_body =
-  let buf = Buffer.create 4096 in
+let read_chunked c ~max_body s =
   let rec chunks () =
     let lbudget = ref 256 in
     let line = read_line c ~budget:lbudget ~at_start:false in
@@ -588,14 +668,17 @@ let read_chunked c ~max_body =
       | _ ->
         raise (Bad_request (Printf.sprintf "malformed chunk size %S" line))
     in
-    if Buffer.length buf + size > max_body then
+    if slab_length s + size > max_body then
       raise (Bad_request "response body too large");
     if size > 0 then begin
-      Buffer.add_string buf (read_exact c size);
-      (match read_exact c 2 with
-      | "\r\n" -> ()
-      | s ->
-        raise (Bad_request (Printf.sprintf "malformed chunk terminator %S" s)));
+      read_exact_into c s size;
+      let cr = next_byte c in
+      let lf = next_byte c in
+      if cr <> '\r' || lf <> '\n' then
+        raise
+          (Bad_request
+             (Printf.sprintf "malformed chunk terminator %S"
+                (String.init 2 (fun i -> if i = 0 then cr else lf))));
       chunks ()
     end
     else begin
@@ -607,10 +690,9 @@ let read_chunked c ~max_body =
       trailers ()
     end
   in
-  chunks ();
-  Buffer.contents buf
+  chunks ()
 
-let read_response ?(max_header = 16384) ?(max_body = Sys.max_string_length) c =
+let read_response_parts ~max_header ~max_body c s =
   let budget = ref max_header in
   let status_line = read_line c ~budget ~at_start:true in
   let status, reason =
@@ -632,15 +714,25 @@ let read_response ?(max_header = 16384) ?(max_body = Sys.max_string_length) c =
     | Some v -> String.lowercase_ascii (String.trim v) <> "identity"
     | None -> false
   in
-  let body =
-    if chunked then read_chunked c ~max_body
-    else
-      match find "content-length" with
-      | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n when n >= 0 && n <= max_body -> read_exact c n
-        | Some n when n >= 0 -> raise (Bad_request "response body too large")
-        | Some _ | None -> raise (Bad_request "malformed Content-Length"))
-      | None -> read_to_eof c ~max_body
-  in
-  { status; reason; rheaders; body }
+  (if chunked then read_chunked c ~max_body s
+   else
+     match find "content-length" with
+     | Some v -> (
+       match int_of_string_opt (String.trim v) with
+       | Some n when n >= 0 && n <= max_body -> read_exact_into c s n
+       | Some n when n >= 0 -> raise (Bad_request "response body too large")
+       | Some _ | None -> raise (Bad_request "malformed Content-Length"))
+     | None -> read_to_eof c ~max_body s);
+  (status, reason, rheaders)
+
+let read_response_into ?(max_header = 16384) ?(max_body = Sys.max_string_length) c s
+    =
+  let status, _, rheaders = read_response_parts ~max_header ~max_body c s in
+  (status, rheaders)
+
+(* No room: a Content-Length body is read into a buffer of exactly its
+   length, which becomes the string without a copy. *)
+let read_response ?(max_header = 16384) ?(max_body = Sys.max_string_length) c =
+  let s = slab_of_string "" in
+  let status, reason, rheaders = read_response_parts ~max_header ~max_body c s in
+  { status; reason; rheaders; body = slab_contents s }

@@ -1,7 +1,8 @@
 (** Minimal from-scratch HTTP/1.1 server-side protocol layer.
 
-    One {!conn} per accepted socket, holding a preallocated read buffer
-    that lives for the whole connection (keep-alive requests reuse it).
+    One {!conn} per accepted socket, holding a read buffer that lives
+    for the whole connection (keep-alive requests reuse it) — the
+    worker's own, from its {!Pn_util.Scratch.t}, when one is given.
     Requests are parsed with bounded header size; bodies are exposed as
     a refill function compatible with {!Pn_data.Stream.of_refill}, so a
     predict body streams straight off the socket without ever being
@@ -26,6 +27,11 @@ type conn
     per-connection read buffer (default 16 KiB, the response-head cap;
     request heads are capped at 8 KiB, and body bytes past what the
     buffer already holds are read straight into their destination).
+    The read buffer (at least [buf_size] bytes) and a streamed
+    response's body ({!start_stream}) are borrowed from [scratch], a
+    fresh one by default: a worker that passes its own serves every
+    connection from the same buffers. The scratch must outlive the conn
+    and belong to the domain that uses it.
     [write_fault] names the fault point passed on every write (default
     ["serve.chunk_write"]);
     [read_fault], when given, names one passed on every buffered read —
@@ -34,6 +40,7 @@ type conn
     proxied request deterministically. The caller closes [fd]. *)
 val make_conn :
   ?buf_size:int ->
+  ?scratch:Pn_util.Scratch.t ->
   ?write_fault:string ->
   ?read_fault:string ->
   Unix.file_descr ->
@@ -68,12 +75,33 @@ val header : request -> string -> string option
     {!Timeout}. [max_header] bounds the head size (default 8 KiB). *)
 val read_request : ?max_header:int -> conn -> request
 
-(** [read_exact conn n] is the next [n] bytes of the connection as one
-    string of exactly that length: what the read buffer already holds,
-    then the rest read straight from the socket into the result. Raises
+(** {1 Slabs}
+
+    A body with room for its head in front of it: the head, formatted
+    last, is written into that room, so head and body leave in one
+    write without a copy of the body. The router relays a request body
+    and a response body this way, and a streamed response is assembled
+    in one. *)
+
+type slab
+
+(** [slab scratch key] is an empty slab in [scratch]'s buffer under
+    [key]; it grows inside the scratch. The previous slab under the
+    same key (and everything in it) is overwritten. *)
+val slab : Pn_util.Scratch.t -> Pn_util.Scratch.key -> slab
+
+(** Body bytes in the slab. *)
+val slab_length : slab -> int
+
+(** A copy of the slab's body. *)
+val slab_contents : slab -> string
+
+(** [read_exact_into conn s n] appends the next [n] bytes of the
+    connection to [s]: what the read buffer already holds, then the
+    rest read straight from the socket into the slab. Raises
     {!Disconnect} if the peer closes first, {!Timeout} on a stalled
     read. The router reads a proxied request body with it. *)
-val read_exact : conn -> int -> string
+val read_exact_into : conn -> slab -> int -> unit
 
 (** [body_reader conn ~length] is a refill function that yields exactly
     [length] body bytes then 0, suitable for
@@ -102,6 +130,18 @@ val respond :
   status:int ->
   body:string ->
   unit ->
+  unit
+
+(** [respond_slab] is {!respond} with the slab's body: the head goes
+    into the slab's room, and head and body leave in one write with no
+    copy. {!respond} is this over a string. *)
+val respond_slab :
+  conn ->
+  ?content_type:string ->
+  ?keep_alive:bool ->
+  ?headers:(string * string) list ->
+  status:int ->
+  slab ->
   unit
 
 (** [deny fd ~status ~retry_after ~body] writes one canned refusal
@@ -181,10 +221,13 @@ val rheader : response -> string -> string option
 
 (** [connect ~host ~port ~timeout ()] opens a TCP connection with
     [TCP_NODELAY] and both socket timeouts set to [timeout].
-    [write_fault]/[read_fault] as in {!make_conn}. Raises
+    [buf_size]/[scratch]/[write_fault]/[read_fault] as in {!make_conn};
+    a client conn's read buffer is a different scratch buffer from a
+    server conn's, so one worker can hold one of each. Raises
     [Unix.Unix_error] on connect failure (the fd is closed). *)
 val connect :
   ?buf_size:int ->
+  ?scratch:Pn_util.Scratch.t ->
   ?write_fault:string ->
   ?read_fault:string ->
   host:string ->
@@ -196,10 +239,22 @@ val connect :
 (** Close the underlying fd, ignoring errors. *)
 val close : conn -> unit
 
-(** [send_request c ~meth ~target ()] writes one request head (plus
-    [body], framed with [Content-Length], when given), head and body in
-    one write from one exact-size buffer. [headers] are
-    written as-is; pass [("connection", "close")] for one-shot use. *)
+(** [send_request_slab c ~meth ~target s] writes one request head,
+    framed with [Content-Length], into the room in front of [s]'s body
+    and sends head and body in one write. The body is left untouched,
+    so a failover resends the same bytes. [headers] are written as-is;
+    pass [("connection", "close")] for one-shot use. *)
+val send_request_slab :
+  conn ->
+  meth:string ->
+  target:string ->
+  ?headers:(string * string) list ->
+  slab ->
+  unit
+
+(** [send_request c ~meth ~target ()] is {!send_request_slab} over
+    [body] (head and body copied once into one buffer), or a bare head
+    without [Content-Length] when there is no body. *)
 val send_request :
   conn ->
   meth:string ->
@@ -209,8 +264,18 @@ val send_request :
   unit ->
   unit
 
-(** [read_response c] blocks for and fully buffers one response.
-    [max_header] bounds the head (default 16 KiB), [max_body] the
-    decoded body (default unbounded). Raises {!Bad_request},
-    {!Disconnect}, {!Timeout} as described above. *)
+(** [read_response_into c s] blocks for one response, appends its
+    decoded body to [s] and returns its status and headers. [max_header]
+    bounds the head (default 16 KiB), [max_body] the decoded body
+    (default unbounded). Raises {!Bad_request}, {!Disconnect},
+    {!Timeout} as described above. *)
+val read_response_into :
+  ?max_header:int ->
+  ?max_body:int ->
+  conn ->
+  slab ->
+  int * (string * string) list
+
+(** [read_response c] is {!read_response_into} with the body returned
+    as a string. *)
 val read_response : ?max_header:int -> ?max_body:int -> conn -> response

@@ -139,17 +139,25 @@ let backend_state t i = Atomic.get t.backends.(i).Backend.state
 (* Proxy legs                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One request/response exchange with one shard on a fresh connection.
-   The leg carries the [router.proxy_write] / [router.proxy_read] fault
-   points, so chaos runs can kill either direction deterministically;
-   transient retries inside the leg are drained into
-   [pnrule_router_proxy_io_retries_total] whether the leg succeeds or
-   not. *)
-let attempt t b ~meth ~target ~headers ~body =
+(* The worker's relay buffers: the client's request body, read once and
+   resent from the same bytes by every leg, and the backend's response
+   body, read by each leg into an emptied slab. *)
+let k_request = Pn_util.Scratch.key ()
+let k_response = Pn_util.Scratch.key ()
+
+(* One request/response exchange with one shard on a fresh connection,
+   whose read buffer is the worker's. The response body lands in the
+   worker's response slab, emptied first, so a failed leg leaves nothing
+   behind for the next. The leg carries the [router.proxy_write] /
+   [router.proxy_read] fault points, so chaos runs can kill either
+   direction deterministically; transient retries inside the leg are
+   drained into [pnrule_router_proxy_io_retries_total] whether the leg
+   succeeds or not. *)
+let attempt t b ~scratch ~meth ~target ~headers ~body =
   let port = Atomic.get b.Backend.port in
   match
     let c =
-      Http.connect ~host:t.config.host ~port ~timeout:proxy_timeout
+      Http.connect ~scratch ~host:t.config.host ~port ~timeout:proxy_timeout
         ~write_fault:"router.proxy_write" ~read_fault:"router.proxy_read" ()
     in
     Fun.protect
@@ -158,8 +166,14 @@ let attempt t b ~meth ~target ~headers ~body =
           (Atomic.fetch_and_add t.rtel.proxy_retries (Http.take_io_retries c));
         Http.close c)
       (fun () ->
-        Http.send_request c ~meth ~target ~headers ?body ();
-        Http.read_response ~max_body:Sys.max_string_length c)
+        (match body with
+        | Some s -> Http.send_request_slab c ~meth ~target ~headers s
+        | None -> Http.send_request c ~meth ~target ~headers ());
+        let resp = Http.slab scratch k_response in
+        let status, rheaders =
+          Http.read_response_into ~max_body:Sys.max_string_length c resp
+        in
+        (status, rheaders, resp))
   with
   | resp -> Ok resp
   | exception Http.Bad_request msg -> Error (`Malformed msg)
@@ -171,10 +185,10 @@ let attempt t b ~meth ~target ~headers ~body =
 (* Probes and scrapes run on clean conns (no fault points): injected
    proxy chaos must not make the supervisor's view of shard health
    nondeterministic. *)
-let scrape t b target =
+let scrape ?scratch t b target =
   match
     let c =
-      Http.connect ~host:t.config.host
+      Http.connect ?scratch ~host:t.config.host
         ~port:(Atomic.get b.Backend.port)
         ~timeout:probe_timeout ()
     in
@@ -189,8 +203,10 @@ let scrape t b target =
   | resp -> Some resp
   | exception _ -> None
 
-let probe t b =
-  match scrape t b "/healthz" with Some r -> r.Http.status = 200 | None -> false
+let probe ~scratch t b =
+  match scrape ~scratch t b "/healthz" with
+  | Some r -> r.Http.status = 200
+  | None -> false
 
 (* Round-robin over healthy shards with transparent failover: an IO
    failure trips the shard's breaker and re-dispatches the buffered
@@ -198,7 +214,7 @@ let probe t b =
    scores are idempotent, so an admitted request is never lost to a
    crash. A parseable-but-malformed response is a protocol bug, not a
    crash: no retry, deterministic 502. *)
-let dispatch_failover t ~meth ~target ~headers ~body =
+let dispatch_failover t ~scratch ~meth ~target ~headers ~body =
   let n = Array.length t.backends in
   let tried = Array.make n false in
   let start = Atomic.fetch_and_add t.rr 1 in
@@ -222,7 +238,7 @@ let dispatch_failover t ~meth ~target ~headers ~body =
     | Some b -> (
       tried.(b.Backend.index) <- true;
       if ntried > 0 then ignore (Atomic.fetch_and_add t.rtel.failovers 1);
-      match attempt t b ~meth ~target ~headers ~body with
+      match attempt t b ~scratch ~meth ~target ~headers ~body with
       | Ok resp -> Ok (b, resp)
       | Error (`Io msg) ->
         ignore (Backend.trip b);
@@ -417,7 +433,7 @@ let backends_body t =
    no response ever mixes generations, and the error names the stuck
    shard. Requires the whole fleet healthy up front — rolling over a
    degraded fleet would leave even less capacity mid-flip. *)
-let rolling_admin t ~back ~query =
+let rolling_admin t ~scratch ~back ~query =
   if not (Mutex.try_lock t.admin) then
     ( 503,
       [ ("retry-after", "1") ],
@@ -469,27 +485,27 @@ let rolling_admin t ~back ~query =
             else begin
               let b = t.backends.(i) in
               match
-                attempt t b ~meth:"POST" ~target
+                attempt t b ~scratch ~meth:"POST" ~target
                   ~headers:[ ("connection", "close") ]
                   ~body:None
               with
-              | Ok resp when resp.Http.status = 200 ->
+              | Ok (200, _, resp) ->
                 Log.info (fun m ->
                     m "%s: backend %d flipped" action b.Backend.index);
-                flip (i + 1) resp.Http.body
-              | Ok resp when i = 0 && resp.Http.status = 409 ->
+                flip (i + 1) (Http.slab_contents resp)
+              | Ok (409, _, resp) when i = 0 ->
                 (* Nothing flipped anywhere yet: relay the refusal
                    (e.g. nothing to roll out to). *)
-                (409, [], resp.Http.body)
-              | Ok resp ->
+                (409, [], Http.slab_contents resp)
+              | Ok (status, _, resp) ->
                 ( 500,
                   [],
                   Printf.sprintf
                     "%s aborted at backend %d (127.0.0.1:%d): HTTP %d: %s; %s\n"
                     action b.Backend.index
                     (Atomic.get b.Backend.port)
-                    resp.Http.status
-                    (String.trim resp.Http.body)
+                    status
+                    (String.trim (Http.slab_contents resp))
                     (coverage i) )
               | Error (`Io msg) | Error (`Malformed msg) ->
                 ignore (Backend.trip b);
@@ -521,14 +537,15 @@ let encode_target req =
   | [] -> path
   | q -> path ^ "?" ^ Http.encode_query q
 
-(* Proxy one scoring request: buffer the body in one string of exactly
-   its length (it must survive the first shard dying mid-exchange; the
-   proxy leg writes it from one more exact-size buffer, so the router
-   copies each body twice), dispatch with failover, relay the
-   winning response under Content-Length framing. The body bytes are
+(* Proxy one scoring request: read the body once into the worker's
+   request slab (it must survive the first shard dying mid-exchange;
+   each leg writes its head into the room in front of it and sends head
+   and body in one write), dispatch with failover, and relay the winning
+   response from the worker's response slab under Content-Length
+   framing, again head and body in one write. The body bytes are
    relayed untouched, so predictions through the router are
    byte-identical to a direct backend (and to batch Serve). *)
-let proxy t conn req ~ep ~keep =
+let proxy t conn req ~ep ~keep ~scratch =
   if Listener.draining t.listener then begin
     ignore (Atomic.fetch_and_add t.rtel.shed_draining 1);
     observe t ~ep ~status:503;
@@ -559,11 +576,12 @@ let proxy t conn req ~ep ~keep =
       | Some e when String.lowercase_ascii e = "100-continue" ->
         Http.continue_100 conn
       | _ -> ());
-      match Http.read_exact conn len with
+      let body = Http.slab scratch k_request in
+      match Http.read_exact_into conn body len with
       | exception (Http.Disconnect | Http.Timeout) ->
         (* The client vanished before the request was admitted. *)
         `Close
-      | body -> (
+      | () -> (
         let target = encode_target req in
         let headers =
           ("connection", "close")
@@ -573,24 +591,24 @@ let proxy t conn req ~ep ~keep =
           | None -> [])
         in
         match
-          dispatch_failover t ~meth:req.Http.meth ~target ~headers
+          dispatch_failover t ~scratch ~meth:req.Http.meth ~target ~headers
             ~body:(Some body)
         with
-        | Ok (b, resp) ->
+        | Ok (b, (status, rheaders, resp)) ->
           ignore (Atomic.fetch_and_add b.Backend.proxied 1);
-          observe t ~ep ~status:resp.Http.status;
+          observe t ~ep ~status;
           let content_type =
             Option.value
-              (Http.rheader resp "content-type")
+              (List.assoc_opt "content-type" rheaders)
               ~default:"text/plain; charset=utf-8"
           in
           let extra =
-            match Http.rheader resp "retry-after" with
+            match List.assoc_opt "retry-after" rheaders with
             | Some v -> [ ("retry-after", v) ]
             | None -> []
           in
-          Http.respond conn ~content_type ~keep_alive:keep ~headers:extra
-            ~status:resp.Http.status ~body:resp.Http.body ();
+          Http.respond_slab conn ~content_type ~keep_alive:keep ~headers:extra
+            ~status resp;
           if keep then `Keep else `Close
         | Error `No_backend ->
           ignore (Atomic.fetch_and_add t.rtel.shed_no_backend 1);
@@ -620,7 +638,7 @@ let proxy t conn req ~ep ~keep =
             ();
           `Close))
 
-let handle t conn =
+let handle t ~scratch conn =
   match Http.read_request conn with
   | exception Http.Bad_request msg ->
     observe t ~ep:ep_other ~status:400;
@@ -663,13 +681,13 @@ let handle t conn =
             simple ~headers:[ ("retry-after", "1") ] 503 "draining\n"
           else begin
             let status, headers, body =
-              rolling_admin t
+              rolling_admin t ~scratch
                 ~back:(req.Http.path = "/admin/rollback")
                 ~query:req.Http.query
             in
             simple ~headers status body
           end
-        | "POST", ("/predict" | "/feedback") -> proxy t conn req ~ep ~keep
+        | "POST", ("/predict" | "/feedback") -> proxy t conn req ~ep ~keep ~scratch
         | _, ("/predict" | "/feedback") -> simple 405 "use POST\n"
         | _, ("/healthz" | "/model" | "/metrics" | "/admin/backends") ->
           simple 405 "use GET\n"
@@ -763,7 +781,7 @@ let reap t =
       end)
     t.backends
 
-let step t b now =
+let step t ~scratch b now =
   match Atomic.get b.Backend.state with
   | Backend.Dead ->
     if Atomic.get b.Backend.pid = 0 && now >= b.Backend.respawn_at then begin
@@ -780,7 +798,7 @@ let step t b now =
         schedule_respawn b
     end
   | Backend.Starting ->
-    if probe t b then begin
+    if probe ~scratch t b then begin
       Atomic.set b.Backend.state Backend.Healthy;
       b.Backend.healthy_since <- now;
       b.Backend.consec_failures <- 0;
@@ -796,7 +814,7 @@ let step t b now =
       (* the reap path transitions to Dead and schedules the respawn *)
     end
   | Backend.Healthy ->
-    if probe t b then begin
+    if probe ~scratch t b then begin
       b.Backend.consec_failures <- 0;
       if
         b.Backend.respawn_attempt > 0
@@ -814,7 +832,7 @@ let step t b now =
       end
     end
   | Backend.Suspect ->
-    if probe t b then begin
+    if probe ~scratch t b then begin
       Atomic.set b.Backend.state Backend.Healthy;
       b.Backend.healthy_since <- now;
       b.Backend.consec_failures <- 0;
@@ -863,7 +881,9 @@ let drain_backends t =
     t.backends;
   Log.info (fun m -> m "backend fleet drained")
 
+(* The supervisor's domain owns the probes' read buffer. *)
 let supervisor t () =
+  let scratch = Pn_util.Scratch.create () in
   let rec loop () =
     if Atomic.get t.stop_backends then ()
     else begin
@@ -872,7 +892,7 @@ let supervisor t () =
       if Atomic.exchange t.chld false then reap t;
       reap t;
       let now = Unix.gettimeofday () in
-      Array.iter (fun b -> try step t b now with _ -> ()) t.backends;
+      Array.iter (fun b -> try step t ~scratch b now with _ -> ()) t.backends;
       (try Unix.sleepf t.config.probe_interval
        with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
@@ -925,7 +945,7 @@ let start ?(config = default_config) () =
      client requests (which may still be proxying) before [after_drain]
      lets the supervisor take the backend fleet down. *)
   Listener.start listener
-    ~handle:(fun ~index:_ conn -> handle t conn)
+    ~handle:(fun ~index:_ ~scratch conn -> handle t ~scratch conn)
     ~in_flight:(fun () -> Atomic.get t.rtel.in_flight)
     ~tick:ignore
     ~after_drain:(fun () -> Atomic.set t.stop_backends true);

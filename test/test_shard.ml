@@ -502,6 +502,176 @@ let test_router_admission () =
         "sheds counted as overload" 2.0
         (metric (scrape t) "pnrule_router_shed_total{reason=\"overload\"}"))
 
+(* ------------------------------------------------------------------ *)
+(* Worker buffers are reused, never leaked, from request to request    *)
+(* ------------------------------------------------------------------ *)
+
+(* One worker serves requests of every size and outcome in a row, each
+   reusing the buffers the one before left behind: a 2048-row .pnc body,
+   a 3-row one, a 256-row CSV body, a schema mismatch (400), a body over
+   max_rows (413), a .pnc body with missing cells under Impute, an
+   8192-row body with scores (chunked output), then the first body
+   again. Every answer must equal a fresh in-process one, byte for byte:
+   through [serve] with one worker domain, and through a one-backend
+   [shard] whose router and backend each run one worker. Then a router
+   leg dies on an injected read fault, and the next clean request must
+   still come back byte-identical. *)
+let reuse_max_rows = 8192
+
+let reuse_cases =
+  lazy
+    (let pnc = [ ("content-type", "application/x-pnrule-columnar") ] in
+     let csv = [ ("content-type", "text/csv") ] in
+     let first = Test_serve.pnc_body ~seed:91 ~rows:2048 () in
+     let over =
+       (* The header alone declares the rows: the body is refused before
+          any group, and a short body is read in full before the 413. *)
+       let s = Test_serve.pnc_body ~seed:92 ~rows:(reuse_max_rows + 1) () in
+       let hlen = Int32.to_int (String.get_int32_le s 8) in
+       String.sub s 0 (8 + 4 + hlen + 4)
+     in
+     let missing =
+       let rows = 512 in
+       let ds = Pn_synth.Numerical.generate (Pn_synth.Numerical.nsyn 3) ~seed:93 ~n:rows in
+       let masks =
+         Array.mapi
+           (fun j _ ->
+             if j < 2 then Some (Array.init rows (fun i -> (i + j) mod 7 = 0)) else None)
+           ds.Pn_data.Dataset.attrs
+       in
+       Pn_data.Columnar.to_string ~missing:masks ~group_size:rows ds
+     in
+     [
+       ("2048-row .pnc", "/predict", pnc, first);
+       ("3-row .pnc", "/predict", pnc, Test_serve.pnc_body ~seed:94 ~rows:3 ());
+       ("256-row CSV", "/predict", csv, Test_serve.csv_body ~seed:95 ~rows:256);
+       ("schema mismatch", "/predict", csv, "foo,bar\n1,2\n");
+       ("over max_rows", "/predict", pnc, over);
+       ("missing cells, impute", "/predict?on-error=impute", pnc, missing);
+       ( "8192 rows with scores",
+         "/predict?scores=1",
+         pnc,
+         Test_serve.pnc_body ~seed:96 ~rows:8192 () );
+       ("2048-row .pnc again", "/predict", pnc, first);
+     ])
+
+(* What a fresh in-process call answers: status and body. *)
+let fresh_answer ~path ~headers body =
+  let model = Lazy.force Test_serve.boosted in
+  let policy =
+    if contains path "on-error=impute" then Pn_data.Ingest_report.Impute
+    else Pn_data.Ingest_report.Strict
+  in
+  let scores = contains path "scores=1" in
+  let out = Buffer.create 4096 in
+  let source = Pn_data.Stream.of_string body in
+  let write = Buffer.add_string out in
+  let pool = Pn_util.Pool.sequential and max_rows = reuse_max_rows in
+  match
+    if List.mem_assoc "content-type" headers
+       && List.assoc "content-type" headers = "application/x-pnrule-columnar"
+    then
+      Pnrule.Serve.predict_columnar_stream ~policy ~scores ~max_rows ~pool ~model
+        ~source ~write ()
+    else
+      Pnrule.Serve.predict_stream ~policy ~scores ~max_rows ~pool ~model ~source
+        ~write ()
+  with
+  | _ -> (200, Buffer.contents out)
+  | exception Pnrule.Serve.Error msg -> (400, msg ^ "\n")
+  | exception Pnrule.Serve.Limit msg -> (413, msg ^ "\n")
+
+let check_reuse_sequence ~tier port =
+  List.iter
+    (fun (name, path, headers, body) ->
+      let want_status, want = fresh_answer ~path ~headers body in
+      let s, _, got =
+        Test_server.one_shot port ~meth:"POST" ~path ~headers ~body ()
+      in
+      Alcotest.(check int) (Printf.sprintf "%s: %s status" tier name) want_status s;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s is byte-identical (%d bytes)" tier name
+           (String.length want))
+        true (String.equal want got))
+    (Lazy.force reuse_cases)
+
+let test_reuse_never_leaks () =
+  let model = Lazy.force Test_serve.boosted in
+  (* Some answer must outgrow the 16 KiB threshold of streamed output. *)
+  Alcotest.(check bool) "one answer streams chunked" true
+    (List.exists
+       (fun (_, path, headers, body) ->
+         String.length (snd (fresh_answer ~path ~headers body)) > 16384)
+       (Lazy.force reuse_cases));
+  let srv =
+    Test_server.boot
+      ~config:
+        {
+          Pn_server.Server.default_config with
+          domains = 1;
+          max_rows = reuse_max_rows;
+        }
+      ~model ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Pn_server.Server.stop srv)
+    (fun () -> check_reuse_sequence ~tier:"serve" (Pn_server.Server.port srv));
+  let dir = Filename.temp_file "pnrule_reuse" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  ignore (R.publish (R.open_dir dir) model);
+  let argv ~index:_ ~port =
+    [|
+      Lazy.force cli_exe;
+      "serve";
+      "--registry";
+      dir;
+      "--host";
+      "127.0.0.1";
+      "--port";
+      string_of_int port;
+      "--domains";
+      "1";
+      "--max-rows";
+      string_of_int reuse_max_rows;
+    |]
+  in
+  let t =
+    Router.start
+      ~config:
+        {
+          Router.default_config with
+          backends = 1;
+          domains = 1;
+          backend_argv = argv;
+          probe_interval = 0.02;
+          start_budget = 25.0;
+        }
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop t;
+      rm_rf dir)
+    (fun () ->
+      wait_until "backend healthy" (fun () -> Router.healthy_count t = 1);
+      let port = Router.port t in
+      check_reuse_sequence ~tier:"shard" port;
+      let name, path, headers, body = List.hd (Lazy.force reuse_cases) in
+      with_faults
+        (fun () -> F.arm ~times:1 "router.proxy_read" F.Raise)
+        (fun () ->
+          let s, _, got = Test_server.one_shot port ~meth:"POST" ~path ~headers ~body () in
+          Alcotest.(check int) "a killed leg on the only backend is a 502" 502 s;
+          Alcotest.(check string) "502 names the exhaustion"
+            "all 1 healthy backends failed; retry later\n" got);
+      wait_until "backend back in rotation" (fun () -> Router.healthy_count t = 1);
+      let want_status, want = fresh_answer ~path ~headers body in
+      let s, _, got = Test_server.one_shot port ~meth:"POST" ~path ~headers ~body () in
+      Alcotest.(check int) (name ^ " after the killed leg: status") want_status s;
+      Alcotest.(check bool) (name ^ " after the killed leg is byte-identical") true
+        (String.equal want got))
+
 let suite =
   [
     Alcotest.test_case "sharded e2e: bytes, merged metrics, rolling rollout"
@@ -516,4 +686,6 @@ let suite =
       test_rollout_warm_failure;
     Alcotest.test_case "router sheds 429 past its queue limit" `Quick
       test_router_admission;
+    Alcotest.test_case "worker reuse never leaks between requests" `Quick
+      test_reuse_never_leaks;
   ]
