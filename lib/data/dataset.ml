@@ -14,52 +14,62 @@ let column_length = function
   | Num a -> Array.length a
   | Cat a -> Array.length a
 
-let validate ~attrs ~columns ~labels ~classes ~weights ~n =
+(* With [exact], every array has exactly [n] cells; otherwise at least
+   [n], and only the first [n] are checked. *)
+let validate ~attrs ~columns ~labels ~classes ~weights ~n ~exact =
+  let fits len = if exact then len = n else len >= n in
   if Array.length attrs <> Array.length columns then
     invalid_arg "Dataset.create: schema/column count mismatch";
   Array.iteri
     (fun j col ->
-      if column_length col <> n then
+      if not (fits (column_length col)) then
         invalid_arg
-          (Printf.sprintf "Dataset.create: column %d has length %d, expected %d"
-             j (column_length col) n);
+          (Printf.sprintf "Dataset.create: column %d has length %d, expected %s%d"
+             j (column_length col) (if exact then "" else "at least ") n);
       match (attrs.(j).Attribute.kind, col) with
       | Attribute.Numeric, Num _ -> ()
       | Attribute.Categorical values, Cat codes ->
         let arity = Array.length values in
-        Array.iter
-          (fun v ->
-            if v < 0 || v >= arity then
-              invalid_arg
-                (Printf.sprintf
-                   "Dataset.create: column %d code %d out of range [0,%d)" j v
-                   arity))
-          codes
+        for i = 0 to n - 1 do
+          let v = codes.(i) in
+          if v < 0 || v >= arity then
+            invalid_arg
+              (Printf.sprintf
+                 "Dataset.create: column %d code %d out of range [0,%d)" j v
+                 arity)
+        done
       | Attribute.Numeric, Cat _ | Attribute.Categorical _, Num _ ->
         invalid_arg (Printf.sprintf "Dataset.create: column %d kind mismatch" j))
     columns;
-  if Array.length labels <> n then invalid_arg "Dataset.create: labels length";
-  if Array.length weights <> n then invalid_arg "Dataset.create: weights length";
+  if not (fits (Array.length labels)) then invalid_arg "Dataset.create: labels length";
+  if not (fits (Array.length weights)) then
+    invalid_arg "Dataset.create: weights length";
   let n_classes = Array.length classes in
-  Array.iter
-    (fun c ->
-      if c < 0 || c >= n_classes then
-        invalid_arg "Dataset.create: label out of class range")
-    labels;
-  Array.iter
-    (fun w -> if w < 0.0 then invalid_arg "Dataset.create: negative weight")
-    weights
+  for i = 0 to n - 1 do
+    let c = labels.(i) in
+    if c < 0 || c >= n_classes then
+      invalid_arg "Dataset.create: label out of class range"
+  done;
+  for i = 0 to n - 1 do
+    if weights.(i) < 0.0 then invalid_arg "Dataset.create: negative weight"
+  done
 
-let create ?weights ~attrs ~columns ~labels ~classes () =
-  let n = Array.length labels in
+let create ?weights ?n ~attrs ~columns ~labels ~classes () =
+  let exact = Option.is_none n in
+  let n = match n with Some n -> n | None -> Array.length labels in
+  if n < 0 then invalid_arg "Dataset.create: n";
   let weights =
     match weights with
     | Some w -> w
     | None -> Array.make n 1.0
   in
-  validate ~attrs ~columns ~labels ~classes ~weights ~n;
+  validate ~attrs ~columns ~labels ~classes ~weights ~n ~exact;
   let sort_cache = Sort_cache.create (Array.length columns) in
   { attrs; columns; labels; classes; weights; n; sort_cache }
+
+(* The first [t.n] cells of a dataset array: the array itself unless the
+   dataset was built over longer buffers. *)
+let prefix t a = if Array.length a = t.n then a else Array.sub a 0 t.n
 
 let n_records t = t.n
 
@@ -79,7 +89,10 @@ let cat_value t ~col i =
 
 let sort_entry t ~col =
   match t.columns.(col) with
-  | Num a -> Sort_cache.entry t.sort_cache ~col a
+  | Num a -> (
+    match Sort_cache.peek t.sort_cache ~col with
+    | Some e -> e
+    | None -> Sort_cache.entry t.sort_cache ~col (prefix t a))
   | Cat _ -> invalid_arg "Dataset.sort_entry: categorical column"
 
 let sort_entry_opt t ~col =
@@ -114,7 +127,7 @@ let class_counts t =
 
 let class_weight t c = (class_counts t).(c)
 
-let total_weight t = Pn_util.Arr.sum_floats t.weights
+let total_weight t = Pn_util.Arr.sum_floats (prefix t t.weights)
 
 let with_weights t w =
   if Array.length w <> t.n then invalid_arg "Dataset.with_weights: length";
@@ -164,35 +177,36 @@ let append a b =
   if not (same_schema a b) then invalid_arg "Dataset.append: schema mismatch";
   let join_col x y =
     match (x, y) with
-    | Num u, Num v -> Num (Array.append u v)
-    | Cat u, Cat v -> Cat (Array.append u v)
+    | Num u, Num v -> Num (Array.append (prefix a u) (prefix b v))
+    | Cat u, Cat v -> Cat (Array.append (prefix a u) (prefix b v))
     | Num _, Cat _ | Cat _, Num _ -> assert false
   in
   {
     attrs = a.attrs;
     columns = Array.map2 join_col a.columns b.columns;
-    labels = Array.append a.labels b.labels;
+    labels = Array.append (prefix a a.labels) (prefix b b.labels);
     classes = a.classes;
-    weights = Array.append a.weights b.weights;
+    weights = Array.append (prefix a a.weights) (prefix b b.weights);
     n = a.n + b.n;
     sort_cache = Sort_cache.create (Array.length a.columns);
   }
 
-let binary_labels t ~target = Array.map (fun l -> l = target) t.labels
+let binary_labels t ~target = Array.init t.n (fun i -> t.labels.(i) = target)
 
 let equal a b =
   same_schema a b && a.n = b.n
-  && a.labels = b.labels
-  && a.weights = b.weights
+  && prefix a a.labels = prefix b b.labels
+  && prefix a a.weights = prefix b b.weights
   && Array.for_all2
        (fun x y ->
          match (x, y) with
          | Num u, Num v ->
            (* nan-tolerant cell comparison: a column is the same when
               every cell has the same bit-level meaning *)
-           Array.length u = Array.length v
-           && Array.for_all2 (fun p q -> Float.compare p q = 0) u v
-         | Cat u, Cat v -> u = v
+           Array.for_all2
+             (fun p q -> Float.compare p q = 0)
+             (prefix a u) (prefix b v)
+         | Cat u, Cat v -> prefix a u = prefix b v
          | Num _, Cat _ | Cat _, Num _ -> false)
        a.columns b.columns
 

@@ -17,6 +17,8 @@ type t = private {
   classes : string array;
   weights : float array;
   n : int;
+      (** the record count: the first [n] cells of [columns], [labels]
+          and [weights] (see [?n] on {!create}) *)
   sort_cache : Sort_cache.t;
       (** lazily filled per-column sorted orders; shared by weight
           variants ([with_weights], [stratify]), fresh for new columns *)
@@ -26,9 +28,17 @@ type t = private {
     unit weights (override with [?weights]). Validates that all columns
     and label/weight arrays have equal length, that column kinds match the
     schema, that labels index [classes], and that categorical codes are in
-    range. Raises [Invalid_argument] otherwise. *)
+    range. Raises [Invalid_argument] otherwise.
+
+    [?n] builds a dataset of [n] records over longer arrays: columns,
+    labels and weights need at least [n] cells, and only the first [n]
+    are records. The serving path scores a request in buffers its worker
+    reuses from larger requests this way. Every function of this module
+    reads only those [n] cells; code reading the record's arrays
+    directly must bound its loops by [n], not by the array lengths. *)
 val create :
   ?weights:float array ->
+  ?n:int ->
   attrs:Attribute.t array ->
   columns:column array ->
   labels:int array ->

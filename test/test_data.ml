@@ -71,6 +71,43 @@ let test_dataset_validation () =
         (D.create ~weights:[| -1.0 |] ~attrs ~columns:[| D.Num [| 1.0 |] |]
            ~labels:[| 0 |] ~classes:[| "a" |] ()))
 
+(* [tiny ()]'s six records over arrays two cells longer, the cells past
+   the records holding an out-of-range code, label and weight: nothing
+   may read or validate them, and every function sees the same dataset
+   as [tiny ()]. A seventh record would be a validation error. *)
+let test_dataset_prefix () =
+  let attrs = [| A.numeric "x"; A.categorical "color" [| "red"; "blue" |] |] in
+  let over ~n =
+    D.create ~n ~attrs
+      ~columns:
+        [|
+          D.Num [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; Float.nan; -1.0 |];
+          D.Cat [| 0; 1; 0; 1; 0; 1; 7; 7 |];
+        |]
+      ~labels:[| 0; 0; 1; 1; 0; 1; 9; 9 |]
+      ~weights:[| 1.0; 1.0; 1.0; 1.0; 1.0; 1.0; -5.0; -5.0 |]
+      ~classes:[| "neg"; "pos" |] ()
+  in
+  let ds = over ~n:6 and exact = tiny () in
+  Alcotest.(check int) "n" 6 (D.n_records ds);
+  Alcotest.(check bool) "equal" true (D.equal ds exact && D.equal exact ds);
+  check_float "total" 6.0 (D.total_weight ds);
+  Alcotest.(check (array (float 1e-9))) "counts" [| 3.0; 3.0 |] (D.class_counts ds);
+  Alcotest.(check (array bool)) "binary"
+    (D.binary_labels exact ~target:1) (D.binary_labels ds ~target:1);
+  Alcotest.(check (array int)) "sorted order" (D.sorted_order exact ~col:0)
+    (D.sorted_order ds ~col:0);
+  Alcotest.(check bool) "append" true
+    (D.equal (D.append ds ds) (D.append exact exact));
+  Alcotest.(check bool) "stratify" true
+    (D.equal (D.stratify ds ~target:1) (D.stratify exact ~target:1));
+  Alcotest.check_raises "seventh record"
+    (Invalid_argument "Dataset.create: column 1 code 7 out of range [0,2)")
+    (fun () -> ignore (over ~n:7));
+  Alcotest.check_raises "past the arrays"
+    (Invalid_argument "Dataset.create: column 0 has length 8, expected at least 9")
+    (fun () -> ignore (over ~n:9))
+
 let test_class_counts () =
   let ds = tiny () in
   Alcotest.(check (array (float 1e-9))) "counts" [| 3.0; 3.0 |] (D.class_counts ds);
@@ -715,6 +752,7 @@ let suite =
     Alcotest.test_case "attribute basics" `Quick test_attribute;
     Alcotest.test_case "dataset accessors" `Quick test_dataset_accessors;
     Alcotest.test_case "dataset validation" `Quick test_dataset_validation;
+    Alcotest.test_case "dataset over longer arrays" `Quick test_dataset_prefix;
     Alcotest.test_case "class counts" `Quick test_class_counts;
     Alcotest.test_case "stratify" `Quick test_stratify;
     Alcotest.test_case "subset/append" `Quick test_subset_append;

@@ -155,7 +155,7 @@ let lines_digest decoded =
    bytes, so refills split rows, quotes, escapes and CRLF pairs. *)
 let chunked ~buf_size s =
   let pos = ref 0 in
-  S.of_refill ~buf_size (fun buf ->
+  S.of_refill ~buf:(Bytes.create buf_size) (fun buf ->
       let n = min (Bytes.length buf) (String.length s - !pos) in
       Bytes.blit_string s !pos buf 0 n;
       pos := !pos + n;

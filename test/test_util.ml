@@ -340,6 +340,51 @@ let test_pool_nested () =
 
 module Bitset = Pn_util.Bitset
 
+(* Scratch: a borrow reuses any buffer at least as large as asked,
+   whatever request left it; keys and indices name distinct buffers. *)
+let test_scratch_reuse () =
+  let module S = Pn_util.Scratch in
+  let t = S.create () and k = S.key () and k' = S.key () in
+  let a = S.floats t k 100 in
+  Alcotest.(check int) "fresh length" 100 (Array.length a);
+  Alcotest.(check bool) "smaller reuses" true (S.floats t k 50 == a);
+  Alcotest.(check bool) "other index" false (S.floats t k ~at:1 50 == a);
+  Alcotest.(check bool) "other key" false (S.floats t k' 50 == a);
+  let b = S.floats t k 200 in
+  Alcotest.(check int) "grown length" 200 (Array.length b);
+  Alcotest.(check bool) "grown kept" true (S.floats t k 100 == b);
+  let i = S.ints t k ~at:2 10 in
+  Alcotest.(check bool) "ints reuse" true (S.ints t k ~at:2 3 == i);
+  let m = S.bools t k ~at:3 10 in
+  Alcotest.(check bool) "bools reuse" true (S.bools t k ~at:3 10 == m);
+  let y = S.bytes t k ~at:4 64 in
+  Alcotest.(check bool) "bytes reuse" true (S.bytes t k ~at:4 10 == y);
+  let buf = S.buffer t k ~at:5 () in
+  Buffer.add_string buf "left over";
+  Alcotest.(check int) "buffer emptied" 0 (Buffer.length (S.buffer t k ~at:5 ()))
+
+(* Scratch: [trim] drops the largest buffers until the total is within
+   the limit, and keeps the rest. *)
+let test_scratch_trim () =
+  let module S = Pn_util.Scratch in
+  let t = S.create () and k = S.key () in
+  let small = S.bytes t k ~at:0 1000 in
+  let big = S.bytes t k ~at:1 S.retain_limit in
+  let bigger = S.bytes t k ~at:2 (S.retain_limit + 1) in
+  S.trim t;
+  Alcotest.(check int) "both big ones dropped" 1000 (S.retained t);
+  Alcotest.(check bool) "small kept" true (S.bytes t k ~at:0 1000 == small);
+  Alcotest.(check bool) "big dropped" false (S.bytes t k ~at:1 1000 == big);
+  Alcotest.(check bool) "bigger dropped" false (S.bytes t k ~at:2 1000 == bigger);
+  let t = S.create () in
+  let half = S.floats t k (S.retain_limit / 16) in
+  let other = S.ints t k ~at:1 (S.retain_limit / 16) in
+  let before = S.retained t in
+  S.trim t;
+  Alcotest.(check int) "within the limit: untouched" before (S.retained t);
+  Alcotest.(check bool) "kept" true
+    (S.floats t k 1 == half && S.ints t k ~at:1 1 == other)
+
 let test_bitset_basics () =
   Alcotest.(check int) "words_for 0" 0 (Bitset.words_for 0);
   Alcotest.(check int) "words_for 1" 1 (Bitset.words_for 1);
@@ -464,5 +509,7 @@ let suite =
     Alcotest.test_case "pool: PNRULE_DOMAINS parsing" `Quick test_pool_domains_of_env;
     Alcotest.test_case "pool: nested map degrades" `Quick test_pool_nested;
     Alcotest.test_case "bitset: basics" `Quick test_bitset_basics;
+    Alcotest.test_case "scratch: borrows reuse larger buffers" `Quick test_scratch_reuse;
+    Alcotest.test_case "scratch: trim keeps the retention limit" `Quick test_scratch_trim;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_props
