@@ -6,6 +6,7 @@ let () =
       ("util", Test_util.suite);
       ("data", Test_data.suite);
       ("stream", Test_stream.suite);
+      ("rows", Test_rows.suite);
       ("metrics", Test_metrics.suite);
       ("rules", Test_rules.suite);
       ("compiled", Test_compiled.suite);
