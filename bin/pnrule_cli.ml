@@ -76,8 +76,11 @@ let policy_arg =
         ~doc:
           "What to do with rows that fail to decode: $(b,strict) aborts \
            (default), $(b,skip) drops and counts them, $(b,impute) fills \
-           missing values with the column median/majority and drops only \
-           structurally bad rows.")
+           missing values and values outside a closed dictionary with the \
+           column median/majority and drops only the other bad rows. A \
+           $(b,?) or empty cell is missing under every policy, in every \
+           format, for training and for serving alike; a row without a \
+           class label is never kept for training.")
 
 (* Dispatch on file extension: .arff loads as ARFF, .pnc as binary
    columnar (no text parsing at all), anything else as CSV. Under

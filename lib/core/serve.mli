@@ -9,17 +9,23 @@
     pipeline is written against {!Saved.t}, so a boosted ensemble serves
     through exactly the same path as a single PNrule model.
 
-    Row handling follows the ingestion {!Pn_data.Ingest_report.policy}:
+    Row handling follows the ingestion {!Pn_data.Ingest_report.policy}
+    through the row store the loaders use ({!Pn_data.Rows}), so a row is
+    read as it was in training:
     - [Strict]: any undecodable row (malformed CSV, wrong arity, missing
       value, categorical value the model has never seen) raises {!Error};
     - [Skip]: such rows are dropped and counted — no prediction line is
       emitted for them;
-    - [Impute]: missing cells ("?" or empty) and unseen categorical
-      values are filled with the {e chunk-local} median / majority value
-      (serving sees data one chunk at a time, so imputation statistics
-      are per chunk by design; a chunk with no usable value for a column
-      falls back to 0 / the first categorical value). Structurally bad
-      rows are still dropped as under [Skip].
+    - [Impute]: missing cells ("?" or empty, or a [.pnc] bitmap bit) and
+      unseen categorical values are filled with the {e chunk-local}
+      median of the non-NaN values / majority value (serving sees data
+      one chunk at a time, so imputation statistics are per chunk by
+      design; a chunk with no usable value for a column falls back to
+      0 / the first categorical value). Other bad rows are still
+      dropped as under [Skip].
+
+    Rows are decided in order, and within a row the first problem in
+    the model's attribute order decides, on both paths.
 
     Labels are metrics-only: when a class column is present (explicit
     [~class_column], or a header column named "class" that the model does

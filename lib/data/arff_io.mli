@@ -9,14 +9,14 @@
     sparse rows, strings and dates are not supported and raise
     [Parse_error].
 
-    Missing values ([?]) are routed through the row-level error policy:
-    under [Strict] (the default) they raise [Parse_error] as before;
+    Missing values ([?] or an empty cell) and values outside their
+    declared nominal set are routed through the row-level error policy
+    ({!Rows}): under [Strict] (the default) they raise [Parse_error];
     under [Skip] the row is dropped and counted; under [Impute] the cell
     is filled with the column median (numeric) or majority value
-    (nominal) — except for a missing class label, which always drops the
-    row. Structurally bad rows (wrong arity, values outside their
-    declared nominal set, unparseable numerics) raise under [Strict] and
-    are dropped and counted otherwise. *)
+    (nominal) — except for the class label, which always drops the row.
+    Structurally bad rows (wrong arity, unparseable numerics) raise
+    under [Strict] and are dropped and counted otherwise. *)
 
 exception Parse_error of string
 

@@ -545,161 +545,35 @@ let group_labels r = r.labels
 (* Whole-file loads                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let median sorted =
-  let m = Array.length sorted in
-  if m land 1 = 1 then sorted.(m / 2)
-  else (sorted.((m / 2) - 1) +. sorted.(m / 2)) /. 2.0
-
 let load_source ?(policy = Ingest_report.Strict) src =
-  let report = Ingest_report.create () in
   let r = open_reader src in
   let sch = r.sch in
   if not sch.has_labels then
     fail "file carries no labels; cannot rebuild a dataset";
-  let n = sch.n_rows in
-  let n_attrs = Array.length sch.attrs in
-  let columns =
-    Array.map
-      (fun (a : Attribute.t) ->
-        match a.kind with
-        | Attribute.Numeric -> Dataset.Num (Array.make n 0.0)
-        | Attribute.Categorical _ -> Dataset.Cat (Array.make n 0))
-      sch.attrs
+  let rows =
+    Rows.create ~policy ~where:"row" ~error:(fun msg -> Corrupt msg) ~capacity:sch.n_rows
+      Rows.Load sch.attrs
   in
-  let missing = Array.make n_attrs [||] in
-  let any_missing = Array.make n_attrs false in
-  let labels = Array.make n 0 in
-  let base = ref 0 in
   let rec groups () =
     match read_group r with
     | None -> ()
-    | Some rows ->
-      for j = 0 to n_attrs - 1 do
-        (match columns.(j) with
-        | Dataset.Num dst -> Array.blit (num_col r j) 0 dst !base rows
-        | Dataset.Cat dst -> Array.blit (cat_col r j) 0 dst !base rows);
-        match col_missing r j with
-        | None -> ()
-        | Some mask ->
-          if not any_missing.(j) then begin
-            missing.(j) <- Array.make n false;
-            any_missing.(j) <- true
-          end;
-          Array.blit mask 0 missing.(j) !base rows
-      done;
-      Array.blit (Option.get (group_labels r)) 0 labels !base rows;
-      base := !base + rows;
+    | Some n ->
+      Rows.append rows ~rows:n
+        ~columns:
+          (Array.map
+             (function
+               | Rnum a -> Dataset.Num a
+               | Rcat a -> Dataset.Cat a
+               | Rskip -> assert false)
+             r.cols)
+        ~masks:r.miss ~labels:(Option.get r.labels);
       groups ()
   in
   groups ();
+  let report = Rows.report rows in
   Ingest_report.add_io_retries report (io_retries r);
-  for _ = 1 to n do
-    Ingest_report.row_read report
-  done;
-  (* Apply the row policy, mirroring the CSV loader: a missing label
-     drops the row, a missing cell raises / drops / imputes. *)
-  let row_missing i =
-    let rec probe j =
-      if j >= n_attrs then None
-      else if any_missing.(j) && missing.(j).(i) then Some j
-      else probe (j + 1)
-    in
-    probe 0
-  in
-  let keep = Array.make n true in
-  for i = 0 to n - 1 do
-    if labels.(i) < 0 then begin
-      (match policy with
-      | Ingest_report.Strict -> fail "row %d: missing class label" (i + 1)
-      | Ingest_report.Skip | Ingest_report.Impute -> ());
-      keep.(i) <- false;
-      Ingest_report.row_skipped report ~line:(i + 1) "missing class label"
-    end
-    else
-      match row_missing i with
-      | None -> Ingest_report.row_kept report
-      | Some j -> (
-        let name = sch.attrs.(j).Attribute.name in
-        match policy with
-        | Ingest_report.Strict ->
-          fail "row %d: missing value in column %S" (i + 1) name
-        | Ingest_report.Skip ->
-          keep.(i) <- false;
-          Ingest_report.row_skipped report ~line:(i + 1)
-            (Printf.sprintf "missing value in column %S" name)
-        | Ingest_report.Impute -> Ingest_report.row_kept report)
-  done;
-  (* Whole-column imputation over the kept rows. *)
-  if policy = Ingest_report.Impute then
-    for j = 0 to n_attrs - 1 do
-      if any_missing.(j) then begin
-        let mask = missing.(j) in
-        match columns.(j) with
-        | Dataset.Num col ->
-          let present = ref [] in
-          for i = 0 to n - 1 do
-            if keep.(i) && (not mask.(i)) && not (Float.is_nan col.(i)) then
-              present := col.(i) :: !present
-          done;
-          let m =
-            match !present with
-            | [] -> 0.0
-            | l ->
-              let a = Array.of_list l in
-              Array.sort Float.compare a;
-              median a
-          in
-          for i = 0 to n - 1 do
-            if keep.(i) && mask.(i) then begin
-              col.(i) <- m;
-              Ingest_report.cell_imputed report
-            end
-          done
-        | Dataset.Cat col ->
-          let arity = Attribute.arity sch.attrs.(j) in
-          if arity = 0 then
-            fail "column %S has only missing values" sch.attrs.(j).Attribute.name;
-          let counts = Array.make arity 0 in
-          let seen = ref false in
-          for i = 0 to n - 1 do
-            if keep.(i) && not mask.(i) then begin
-              counts.(col.(i)) <- counts.(col.(i)) + 1;
-              seen := true
-            end
-          done;
-          if not !seen then
-            fail "column %S has only missing values" sch.attrs.(j).Attribute.name;
-          let majority = ref 0 in
-          Array.iteri (fun v c -> if c > counts.(!majority) then majority := v) counts;
-          for i = 0 to n - 1 do
-            if keep.(i) && mask.(i) then begin
-              col.(i) <- !majority;
-              Ingest_report.cell_imputed report
-            end
-          done
-      end
-    done;
-  let all_kept = Array.for_all Fun.id keep in
-  let ds =
-    if all_kept then
-      Dataset.create ~attrs:sch.attrs ~columns ~labels ~classes:sch.classes ()
-    else begin
-      let idx = ref [] in
-      for i = n - 1 downto 0 do
-        if keep.(i) then idx := i :: !idx
-      done;
-      let idx = Array.of_list !idx in
-      let pick = function
-        | Dataset.Num a -> Dataset.Num (Array.map (fun i -> a.(i)) idx)
-        | Dataset.Cat a -> Dataset.Cat (Array.map (fun i -> a.(i)) idx)
-      in
-      Dataset.create ~attrs:sch.attrs
-        ~columns:(Array.map pick columns)
-        ~labels:(Array.map (fun i -> labels.(i)) idx)
-        ~classes:sch.classes ()
-    end
-  in
-  (ds, report)
+  Rows.decide rows ~first:1;
+  (Rows.dataset rows ~attrs:sch.attrs ~classes:sch.classes, report)
 
 let load_with_report ?policy path =
   let ic = open_in_bin path in

@@ -127,11 +127,12 @@ val io_retries : reader -> int
 (** {1 Whole-file loads} *)
 
 (** [load path] decodes a labeled [.pnc] file back into a dataset
-    (weights reset to 1). Missing cells follow [policy] exactly like the
-    CSV loader: [Strict] (default) raises, [Skip] drops the row,
-    [Impute] fills with the whole-column median / majority; rows with a
-    missing label are dropped under [Skip]/[Impute]. Raises {!Corrupt}
-    (also for unlabeled files, which cannot rebuild a dataset). *)
+    (weights reset to 1). Missing cells and labels follow [policy]
+    through the CSV loader's row store ({!Rows}): [Strict] (default)
+    raises, [Skip] drops the row, [Impute] fills a cell with the
+    whole-file median / majority and drops a row with no label. Raises
+    {!Corrupt} (also for unlabeled files, which cannot rebuild a
+    dataset). *)
 val load : ?policy:Ingest_report.policy -> string -> Dataset.t
 
 val load_with_report :

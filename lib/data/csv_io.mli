@@ -11,14 +11,14 @@
     parses as a {e finite} float ("nan"/"inf" literals stay categorical);
     otherwise it is categorical with values in first-seen order.
 
-    Malformed rows are handled per {!Ingest_report.policy}:
-    - [Strict] (default): raise {!Parse_error} — the legacy behaviour.
-      Empty numeric cells still read as 0 and "?" is an ordinary string.
-    - [Skip]: rows with decode errors, wrong arity or "?" cells are
-      dropped and counted.
-    - [Impute]: "?" and empty cells are filled with the column median
-      (numeric) or majority value (categorical); structurally bad rows
-      and rows with a missing class label are dropped and counted. *)
+    A "?" or empty cell is missing under every policy. Rows follow
+    {!Ingest_report.policy} through {!Rows}:
+    - [Strict] (default): a missing cell or label, a decode error or a
+      wrong arity raises {!Parse_error}.
+    - [Skip]: such rows are dropped and counted.
+    - [Impute]: missing cells are filled with the column median
+      (numeric) or majority value (categorical); the other bad rows are
+      dropped and counted. *)
 
 exception Parse_error of string
 

@@ -40,8 +40,6 @@ let row_skipped t ~line msg =
   t.rows_skipped <- t.rows_skipped + 1;
   if List.length t.errors < max_errors then t.errors <- t.errors @ [ (line, msg) ]
 
-let cell_imputed t = t.cells_imputed <- t.cells_imputed + 1
-
 let add_io_retries t n = t.io_retries <- t.io_retries + n
 
 let pp ppf t =

@@ -1,21 +1,23 @@
-(** Row-level error policies and ingestion accounting for the streaming
-    loaders ({!Csv_io}, {!Arff_io}) and the chunked serving path.
+(** Row-level error policies and ingestion accounting for the CSV, ARFF
+    and [.pnc] loaders and both serving paths, which apply them through
+    one row store ({!Rows}, where the rules are listed).
 
-    A loader parameterized by a {!policy} decides what happens to a data
-    row that cannot be decoded cleanly — wrong arity, malformed quoting,
-    a value outside a declared nominal set, or a missing cell ([?] in
-    ARFF, [?]/empty under imputation in CSV). Whatever the policy, the
-    loader fills in a report so callers can tell how much of the feed
-    actually made it into the dataset. *)
+    A {!policy} decides what happens to a data row that cannot be
+    decoded cleanly — wrong arity, malformed quoting, a missing cell
+    ([?] or empty text, or a [.pnc] bitmap bit), a value outside a
+    closed dictionary, or a missing class label. Whatever the policy,
+    the decoder fills in a report so callers can tell how much of the
+    feed actually made it into the dataset. *)
 
 type policy =
-  | Strict  (** any bad row raises [Parse_error] — the legacy behaviour *)
+  | Strict  (** any bad row raises the decoder's error *)
   | Skip  (** bad rows are dropped and counted *)
   | Impute
-      (** missing cells are filled with the column median (numeric) or
-          majority value (categorical); structurally bad rows — wrong
-          arity, malformed quoting, unknown nominal values, missing
-          class labels — are dropped and counted as under [Skip] *)
+      (** missing cells and values outside a closed dictionary are
+          filled with the column median (numeric) or majority value
+          (categorical); other bad rows — wrong arity, malformed
+          quoting, missing class labels — are dropped and counted as
+          under [Skip] *)
 
 val policy_name : policy -> string
 
@@ -47,8 +49,6 @@ val row_kept : t -> unit
 (** [row_skipped t ~line msg] counts a dropped row and retains the reason
     while fewer than {!max_errors} are stored. *)
 val row_skipped : t -> line:int -> string -> unit
-
-val cell_imputed : t -> unit
 
 (** [add_io_retries t n] accounts [n] transient-error retries. *)
 val add_io_retries : t -> int -> unit

@@ -421,18 +421,12 @@ let metrics_text t =
    every request it serves. *)
 let k_body = Pn_util.Scratch.key ()
 
-let body_source conn ~scratch ~len ~guard =
-  let reader = Http.body_reader conn ~length:len in
-  Pn_data.Stream.of_refill ~buf:(Pn_util.Scratch.bytes scratch k_body 65536)
-    (fun buf ->
-      guard ();
-      reader buf)
-
-(* Serving pools: each worker domain is already one lane of parallelism,
-   and Pool.map_array does not support concurrent submitters — so every
-   request scores sequentially in its worker domain. *)
-let predict t conn (req : Http.request) ~index ~scratch ~keep =
-  (* Per-request overrides, validated before any body byte is read. *)
+(* The query options /predict and /feedback share, read before any body
+   byte: the [on-error] policy; the body's format, a binary columnar
+   body (by Content-Type) taking the [.pnc] fast path and anything else,
+   including no Content-Type, the historical CSV one; and
+   [class-column], which only a CSV body can use. *)
+let body_options t (req : Http.request) =
   let q name = List.assoc_opt name req.query in
   let policy =
     match q "on-error" with
@@ -442,15 +436,6 @@ let predict t conn (req : Http.request) ~index ~scratch ~keep =
       | Some p -> Ok p
       | None -> Error (Printf.sprintf "unknown on-error policy %S" v))
   in
-  let scores =
-    match q "scores" with
-    | None | Some "0" | Some "false" -> Ok false
-    | Some "1" | Some "true" -> Ok true
-    | Some v -> Error (Printf.sprintf "bad scores flag %S" v)
-  in
-  (* Content negotiation: a binary columnar body is routed to the
-     [.pnc] fast path; anything else (including no Content-Type) keeps
-     the historical CSV behaviour. *)
   let columnar =
     match Http.header req "content-type" with
     | None -> false
@@ -462,50 +447,75 @@ let predict t conn (req : Http.request) ~index ~scratch ~keep =
       in
       String.lowercase_ascii (String.trim v) = "application/x-pnrule-columnar"
   in
-  let scores =
-    if columnar && q "class-column" <> None then
+  let class_column =
+    match q "class-column" with
+    | Some _ when columnar ->
       Error "class-column does not apply to columnar input (labels are in the file)"
-    else scores
+    | c -> Ok c
   in
-  match (policy, scores) with
-  | Error msg, _ | _, Error msg ->
-    Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-    (400, `Close)
-  | Ok policy, Ok scores -> (
-    if req.Http.chunked_body then begin
-      Http.respond conn ~status:411
-        ~body:"chunked request bodies are not supported; send Content-Length\n" ();
-      (411, `Close)
-    end
-    else
-      match req.Http.content_length with
-      | None ->
-        Http.respond conn ~status:411 ~body:"Content-Length required\n" ();
-        (411, `Close)
-      | Some len when len > t.max_body ->
-        Http.respond conn ~status:413
-          ~body:
-            (Printf.sprintf "body of %d bytes exceeds the %d byte limit\n" len
-               t.max_body)
-          ();
-        (413, `Close)
-      | Some len -> (
-        (match Http.header req "expect" with
-        | Some v when String.lowercase_ascii v = "100-continue" ->
-          Http.continue_100 conn
-        | Some _ | None -> ());
+  (policy, columnar, class_column)
+
+let respond_error conn status msg =
+  Http.respond conn ~status ~body:(msg ^ "\n") ();
+  (status, `Close)
+
+(* The body framing both endpoints share: a chunked body or none of
+   Content-Length is 411, one over [max_body] 413. Otherwise answer
+   [Expect: 100-continue] and run [k] on the body with the deadline
+   guard, which is checked on every body refill and every response
+   write, the two points where a slow peer can stall the request
+   indefinitely. A deadline of 0 disables it. *)
+let with_body t conn (req : Http.request) ~scratch k =
+  if req.Http.chunked_body then
+    respond_error conn 411 "chunked request bodies are not supported; send Content-Length"
+  else
+    match req.Http.content_length with
+    | None -> respond_error conn 411 "Content-Length required"
+    | Some len when len > t.max_body ->
+      respond_error conn 413
+        (Printf.sprintf "body of %d bytes exceeds the %d byte limit" len t.max_body)
+    | Some len ->
+      (match Http.header req "expect" with
+      | Some v when String.lowercase_ascii v = "100-continue" -> Http.continue_100 conn
+      | Some _ | None -> ());
+      let deadline_at =
+        if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline else Float.infinity
+      in
+      let guard () = if Unix.gettimeofday () > deadline_at then raise Deadline in
+      let reader = Http.body_reader conn ~length:len in
+      k ~guard
+        (Pn_data.Stream.of_refill ~buf:(Pn_util.Scratch.bytes scratch k_body 65536)
+           (fun buf ->
+             guard ();
+             reader buf))
+
+(* A body through the serving core's [.pnc] or CSV decoder. Serving
+   pools: each worker domain is already one lane of parallelism, and
+   Pool.map_array does not support concurrent submitters — so every
+   request scores sequentially in its worker domain. *)
+let serve_body t ~columnar ~policy ~class_column ~scores ~scratch ~observe ~model ~source
+    ~write =
+  let pool = Pn_util.Pool.sequential and max_rows = t.max_rows in
+  if columnar then
+    Pnrule.Serve.predict_columnar_stream ~policy ~scores ~max_rows ~pool ~scratch ?observe
+      ~model ~source ~write ()
+  else
+    Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size ?class_column ~scores
+      ~max_rows ~pool ~scratch ?observe ~model ~source ~write ()
+
+let predict t conn (req : Http.request) ~index ~scratch ~keep =
+  let policy, columnar, class_column = body_options t req in
+  let scores =
+    match List.assoc_opt "scores" req.query with
+    | None | Some "0" | Some "false" -> Ok false
+    | Some "1" | Some "true" -> Ok true
+    | Some v -> Error (Printf.sprintf "bad scores flag %S" v)
+  in
+  match (policy, class_column, scores) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> respond_error conn 400 msg
+  | Ok policy, Ok class_column, Ok scores ->
+    with_body t conn req ~scratch (fun ~guard source ->
         let st = Atomic.get t.state in
-        (* Deadline guard: checked on every body refill and every
-           response write, the two points where a slow peer can stall
-           the request indefinitely. 0 disables it. *)
-        let deadline_at =
-          if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline
-          else Float.infinity
-        in
-        let guard () =
-          if Unix.gettimeofday () > deadline_at then raise Deadline
-        in
-        let source = body_source conn ~scratch ~len ~guard in
         let resp = Http.start_stream conn ~status:200 ~keep_alive:keep () in
         let write s =
           guard ();
@@ -524,46 +534,26 @@ let predict t conn (req : Http.request) ~index ~scratch ~keep =
               (fun ~n ~columns:_ ~batch ~actuals ->
                 Pn_adapt.Drift.observe dr ~slot:index ~n ~batch ~actuals)
         in
+        (* Once the 200 head is on the wire, all a failure can do is
+           truncate the chunked body so the client sees a failed
+           transfer. *)
+        let fail status msg =
+          if Http.stream_started resp then (status, `Close) else respond_error conn status msg
+        in
         match
-          if columnar then
-            Pnrule.Serve.predict_columnar_stream ~policy ~scores
-              ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
-              ?observe ~model:st.model ~source ~write ()
-          else
-            Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
-              ?class_column:(q "class-column") ~scores ~max_rows:t.max_rows
-              ~pool:Pn_util.Pool.sequential ~scratch ?observe ~model:st.model
-              ~source ~write ()
+          serve_body t ~columnar ~policy ~class_column ~scores ~scratch ~observe
+            ~model:st.model ~source ~write
         with
         | report ->
           Http.stream_finish resp;
           (200, `Rows report)
         | exception Deadline ->
-          if Http.stream_started resp then (408, `Close)
-          else begin
-            Http.respond conn ~status:408
-              ~body:
-                (Printf.sprintf "request exceeded the %gs deadline\n" t.deadline)
-              ();
-            (408, `Close)
-          end
+          fail 408 (Printf.sprintf "request exceeded the %gs deadline" t.deadline)
         | exception Pnrule.Serve.Error msg ->
-          if Http.stream_started resp then begin
-            (* The 200 head is on the wire; all we can do is truncate the
-               chunked body so the client sees a failed transfer. *)
+          if Http.stream_started resp then
             Log.debug (fun m -> m "predict failed mid-stream: %s" msg);
-            (400, `Close)
-          end
-          else begin
-            Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-            (400, `Close)
-          end
-        | exception Pnrule.Serve.Limit msg ->
-          if Http.stream_started resp then (413, `Close)
-          else begin
-            Http.respond conn ~status:413 ~body:(msg ^ "\n") ();
-            (413, `Close)
-          end))
+          fail 400 msg
+        | exception Pnrule.Serve.Limit msg -> fail 413 msg)
 
 (* POST /feedback: the labeled-stream endpoint of online adaptation.
    The body rides the exact predict pipeline (same decoders, same
@@ -580,70 +570,12 @@ let feedback t conn (req : Http.request) ~index ~scratch ~keep =
       ();
     (409, `Close)
   | Some r -> (
-    let q name = List.assoc_opt name req.query in
-    let policy =
-      match q "on-error" with
-      | None -> Ok t.policy
-      | Some v -> (
-        match Pn_data.Ingest_report.policy_of_string v with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "unknown on-error policy %S" v))
-    in
-    let columnar =
-      match Http.header req "content-type" with
-      | None -> false
-      | Some v ->
-        let v =
-          match String.index_opt v ';' with
-          | Some i -> String.sub v 0 i
-          | None -> v
-        in
-        String.lowercase_ascii (String.trim v) = "application/x-pnrule-columnar"
-    in
-    let policy =
-      if columnar && q "class-column" <> None then
-        Error
-          "class-column does not apply to columnar input (labels are in the \
-           file)"
-      else policy
-    in
-    match policy with
-    | Error msg ->
-      Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-      (400, `Close)
-    | Ok policy -> (
-      if req.Http.chunked_body then begin
-        Http.respond conn ~status:411
-          ~body:"chunked request bodies are not supported; send Content-Length\n"
-          ();
-        (411, `Close)
-      end
-      else
-        match req.Http.content_length with
-        | None ->
-          Http.respond conn ~status:411 ~body:"Content-Length required\n" ();
-          (411, `Close)
-        | Some len when len > t.max_body ->
-          Http.respond conn ~status:413
-            ~body:
-              (Printf.sprintf "body of %d bytes exceeds the %d byte limit\n" len
-                 t.max_body)
-            ();
-          (413, `Close)
-        | Some len -> (
-          (match Http.header req "expect" with
-          | Some v when String.lowercase_ascii v = "100-continue" ->
-            Http.continue_100 conn
-          | Some _ | None -> ());
+    let policy, columnar, class_column = body_options t req in
+    match (class_column, policy) with
+    | Error msg, _ | _, Error msg -> respond_error conn 400 msg
+    | Ok class_column, Ok policy ->
+      with_body t conn req ~scratch (fun ~guard:_ source ->
           let st = Atomic.get t.state in
-          let deadline_at =
-            if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline
-            else Float.infinity
-          in
-          let guard () =
-            if Unix.gettimeofday () > deadline_at then raise Deadline
-          in
-          let source = body_source conn ~scratch ~len ~guard in
           let dr = Pn_adapt.Retrainer.drift r in
           let attrs = Pnrule.Saved.attrs st.model in
           let classes = Pnrule.Saved.classes st.model in
@@ -678,25 +610,14 @@ let feedback t conn (req : Http.request) ~index ~scratch ~keep =
             end
           in
           match
-            if columnar then
-              Pnrule.Serve.predict_columnar_stream ~policy ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
-                ~observe ~model:st.model ~source ~write:ignore ()
-            else
-              Pnrule.Serve.predict_stream ~policy ~chunk_size:t.chunk_size
-                ?class_column:(q "class-column") ~scores:false
-                ~max_rows:t.max_rows ~pool:Pn_util.Pool.sequential ~scratch
-                ~observe ~model:st.model ~source ~write:ignore ()
+            serve_body t ~columnar ~policy ~class_column ~scores:false ~scratch
+              ~observe:(Some observe) ~model:st.model ~source ~write:ignore
           with
           | report ->
-            if !labeled_total = 0 then begin
-              Http.respond conn ~status:400
-                ~body:
-                  "no labeled rows in the feedback body; provide a class \
-                   column (CSV) or a labeled .pnc file\n"
-                ();
-              (400, `Close)
-            end
+            if !labeled_total = 0 then
+              respond_error conn 400
+                "no labeled rows in the feedback body; provide a class column (CSV) or \
+                 a labeled .pnc file"
             else begin
               Http.respond conn ~status:200 ~keep_alive:keep
                 ~content_type:"application/json; charset=utf-8"
@@ -710,17 +631,10 @@ let feedback t conn (req : Http.request) ~index ~scratch ~keep =
               (200, `Keep)
             end
           | exception Deadline ->
-            Http.respond conn ~status:408
-              ~body:
-                (Printf.sprintf "request exceeded the %gs deadline\n" t.deadline)
-              ();
-            (408, `Close)
-          | exception Pnrule.Serve.Error msg ->
-            Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-            (400, `Close)
-          | exception Pnrule.Serve.Limit msg ->
-            Http.respond conn ~status:413 ~body:(msg ^ "\n") ();
-            (413, `Close))))
+            respond_error conn 408
+              (Printf.sprintf "request exceeded the %gs deadline" t.deadline)
+          | exception Pnrule.Serve.Error msg -> respond_error conn 400 msg
+          | exception Pnrule.Serve.Limit msg -> respond_error conn 413 msg))
 
 (* GET /admin/drift: one JSON snapshot of the whole adaptation loop —
    monitor state per rule plus the retrainer's outcome counters. *)
