@@ -1,8 +1,8 @@
 (* Fraud detection with mixed attribute types and a CSV round trip.
 
-   Builds a card-transaction dataset (0.4 % fraud) with the row-level
-   Builder API, saves it to CSV, loads it back (exercising schema
-   inference), and compares PNrule's parameter grid against RIPPER.
+   Builds a card-transaction dataset (0.4 % fraud) column by column,
+   saves it to CSV, loads it back (exercising schema inference), and
+   compares PNrule's parameter grid against RIPPER.
 
    Run with: dune exec examples/fraud_detection.exe *)
 
@@ -21,41 +21,44 @@ let make_dataset ~seed ~n =
       Pn_data.Attribute.categorical "country" countries;
     |]
   in
-  let b = Pn_data.Builder.create ~attrs ~classes:[| "legit"; "fraud" |] in
-  for _ = 1 to n do
+  let num () = Array.make n 0.0 and cat () = Array.make n 0 in
+  let amount = num () and hour = num () and burst = num () in
+  let merchant = cat () and country = cat () and labels = cat () in
+  for i = 0 to n - 1 do
     let fraud = Pn_util.Rng.bernoulli rng 0.004 in
     let night_owl = Pn_util.Rng.bernoulli rng 0.08 in
-    let cells =
+    let a, h, b, m, c =
       if fraud then
         (* Fraud: high-value electronics/jewelry from far away, at night,
            in bursts. Impure: night-owl travellers share most of it. *)
-        [|
-          Pn_data.Builder.Fnum (300.0 +. Pn_util.Rng.float rng 1500.0);
-          Pn_data.Builder.Fnum (Pn_util.Rng.float rng 6.0);
-          Pn_data.Builder.Fnum (4.0 +. Pn_util.Rng.float rng 12.0);
-          Pn_data.Builder.Fcat (if Pn_util.Rng.bool rng then 2 else 4);
-          Pn_data.Builder.Fcat 2;
-        |]
+        ( 300.0 +. Pn_util.Rng.float rng 1500.0,
+          Pn_util.Rng.float rng 6.0,
+          4.0 +. Pn_util.Rng.float rng 12.0,
+          (if Pn_util.Rng.bool rng then 2 else 4),
+          2 )
       else if night_owl then
-        [|
-          Pn_data.Builder.Fnum (200.0 +. Pn_util.Rng.float rng 1200.0);
-          Pn_data.Builder.Fnum (Pn_util.Rng.float rng 6.0);
-          Pn_data.Builder.Fnum (Pn_util.Rng.float rng 4.0);
-          Pn_data.Builder.Fcat 3;
-          Pn_data.Builder.Fcat 2;
-        |]
+        ( 200.0 +. Pn_util.Rng.float rng 1200.0,
+          Pn_util.Rng.float rng 6.0,
+          Pn_util.Rng.float rng 4.0,
+          3,
+          2 )
       else
-        [|
-          Pn_data.Builder.Fnum (5.0 +. Pn_util.Rng.float rng 200.0);
-          Pn_data.Builder.Fnum (7.0 +. Pn_util.Rng.float rng 16.0);
-          Pn_data.Builder.Fnum (Pn_util.Rng.float rng 5.0);
-          Pn_data.Builder.Fcat (Pn_util.Rng.int rng (Array.length categories));
-          Pn_data.Builder.Fcat (if Pn_util.Rng.bernoulli rng 0.9 then 0 else 1);
-        |]
+        ( 5.0 +. Pn_util.Rng.float rng 200.0,
+          7.0 +. Pn_util.Rng.float rng 16.0,
+          Pn_util.Rng.float rng 5.0,
+          Pn_util.Rng.int rng (Array.length categories),
+          if Pn_util.Rng.bernoulli rng 0.9 then 0 else 1 )
     in
-    Pn_data.Builder.add_row b cells ~label:(if fraud then 1 else 0)
+    amount.(i) <- a;
+    hour.(i) <- h;
+    burst.(i) <- b;
+    merchant.(i) <- m;
+    country.(i) <- c;
+    labels.(i) <- (if fraud then 1 else 0)
   done;
-  Pn_data.Builder.to_dataset b
+  Pn_data.Dataset.create ~attrs
+    ~columns:Pn_data.Dataset.[| Num amount; Num hour; Num burst; Cat merchant; Cat country |]
+    ~labels ~classes:[| "legit"; "fraud" |] ()
 
 let () =
   let train = make_dataset ~seed:7 ~n:80_000 in

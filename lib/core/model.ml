@@ -85,33 +85,6 @@ let evaluate ?pool t ds =
   done;
   !acc
 
-(* Serving-side schema validation: a CSV feed is compatible when every
-   attribute the model was trained on appears exactly once in the
-   header. Extra columns are allowed (and ignored by the caller). *)
-let resolve_header t header =
-  let find name =
-    let hits = ref [] in
-    Array.iteri
-      (fun j h -> if String.equal h name then hits := j :: !hits)
-      header;
-    match !hits with
-    | [ j ] -> Ok j
-    | [] -> Error (Printf.sprintf "column %S required by the model is missing" name)
-    | _ :: _ ->
-      Error (Printf.sprintf "column %S appears more than once in the header" name)
-  in
-  let mapping = Array.make (Array.length t.attrs) 0 in
-  let errs = ref [] in
-  Array.iteri
-    (fun k (a : Pn_data.Attribute.t) ->
-      match find a.name with
-      | Ok j -> mapping.(k) <- j
-      | Error e -> errs := e :: !errs)
-    t.attrs;
-  match List.rev !errs with
-  | [] -> Ok mapping
-  | errs -> Error (String.concat "; " errs)
-
 let rule_counts t =
   (Pn_rules.Rule_list.length t.p_rules, Pn_rules.Rule_list.length t.n_rules)
 

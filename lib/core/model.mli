@@ -67,14 +67,6 @@ val score_all : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> float array
     compiled batch path. *)
 val evaluate : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> Pn_metrics.Confusion.t
 
-(** [resolve_header t names] validates a CSV header against the model's
-    training schema: every attribute of [t.attrs] must appear exactly
-    once in [names] (extra columns are allowed). On success returns the
-    mapping from attribute index to header column index; on failure a
-    human-readable description of every mismatched attribute,
-    ["; "]-separated. *)
-val resolve_header : t -> string array -> (int array, string) result
-
 (** [rule_counts t] is (number of P-rules, number of N-rules). *)
 val rule_counts : t -> int * int
 

@@ -38,6 +38,9 @@ let target = function
   | Single m -> m.Model.target
   | Boosted e -> e.Ensemble.target
 
+(* Serving-side schema validation: a CSV feed is compatible when every
+   attribute the model was trained on appears exactly once in the
+   header. Extra columns are allowed (and ignored by the caller). *)
 let resolve_header t header =
   let attrs = attrs t in
   let find name =

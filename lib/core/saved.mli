@@ -54,9 +54,12 @@ val classes : t -> string array
 (** Index of the target class in {!classes}. *)
 val target : t -> int
 
-(** Same name-based schema check as {!Model.resolve_header}, over
-    either kind: [Ok mapping] maps attribute [k] to header column
-    [mapping.(k)]; [Error] lists every missing/duplicated column. *)
+(** [resolve_header t names] validates a CSV header against the model's
+    training schema, for either kind: every attribute of {!attrs} must
+    appear exactly once in [names] (extra columns are allowed). On
+    success returns the mapping from attribute index to header column
+    index; on failure a human-readable description of every mismatched
+    attribute, ["; "]-separated. *)
 val resolve_header : t -> string array -> (int array, string) result
 
 val predict_all : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> bool array

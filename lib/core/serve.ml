@@ -76,7 +76,7 @@ let make_emitter ?pool ?observe ~scratch ~scores ~(model : Saved.t) ~write () =
     let batch = Saved.eval_batch ?pool ~scratch ~scores model ds in
     let predicted = batch.Saved.preds in
     let score_v = batch.Saved.scores_v in
-    let outbuf = Pn_util.Scratch.buffer scratch k_out () in
+    let outbuf = Pn_util.Scratch.buffer scratch k_out in
     (* The confusion counts accumulate in locals, seeded from the running
        totals: the same weights added in the same order as one
        [Confusion.add] per row, without a record per row. *)

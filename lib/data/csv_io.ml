@@ -80,8 +80,7 @@ let build ?class_column ~policy ~with_source () =
           in
           let scan = batch ~capacity:0 (Array.map (fun j -> Attribute.numeric names.(j)) data_cols) in
           let numeric_ok = Array.make (Array.length names) true in
-          let has_value = Array.make (Array.length names) false in
-          schema := Some (names, data_cols, scan, numeric_ok, has_value);
+          schema := Some (names, data_cols, scan, numeric_ok);
           fun ~line result ->
             match decide scan ~names ~class_col ~line result with
             | exception Rows.Skipped -> ()
@@ -89,16 +88,15 @@ let build ?class_column ~policy ~with_source () =
               Rows.keep scan;
               Array.iteri
                 (fun j cell ->
-                  if not (is_missing cell) then begin
-                    has_value.(j) <- true;
-                    if not (is_float cell) then numeric_ok.(j) <- false
-                  end)
+                  if not (is_missing cell || is_float cell) then numeric_ok.(j) <- false)
                 cells));
-  let names, data_cols, scan, numeric_ok, has_value = Option.get !schema in
+  let names, data_cols, scan, numeric_ok = Option.get !schema in
   if Array.length names = 0 then fail "no columns";
   let n = Rows.length scan in
   if n = 0 then fail "no data rows";
-  let numeric = Array.map (fun j -> numeric_ok.(j) && has_value.(j)) data_cols in
+  (* A column is numeric unless a kept cell is present and not a number,
+     so one with no present value is numeric, as in ARFF and .pnc. *)
+  let numeric = Array.map (fun j -> numeric_ok.(j)) data_cols in
   (* Pass 2: build exact-size columns. *)
   let class_table = Hashtbl.create 8 in
   let class_names = ref [] in

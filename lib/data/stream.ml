@@ -17,9 +17,13 @@ let of_channel ?(buf_size = 65536) ic =
     retries = 0;
   }
 
+(* The string is the buffer, read in place and never copied. It is
+   never written either: a string source's refill writes nothing and
+   returns 0, and so does [refill] below under an armed [stream.refill]
+   short read, which blits the 0 bytes it got. *)
 let of_string s =
   {
-    buf = Bytes.of_string s;
+    buf = Bytes.unsafe_of_string s;
     pos = 0;
     len = String.length s;
     refill = (fun _ -> 0);

@@ -29,7 +29,7 @@ type source
     ownership of [ic] and must close it. *)
 val of_channel : ?buf_size:int -> in_channel -> source
 
-(** [of_string s] streams from an in-memory string. *)
+(** [of_string s] streams from an in-memory string, read in place. *)
 val of_string : string -> source
 
 (** [of_refill ~buf f] streams from an arbitrary byte producer through

@@ -25,7 +25,6 @@ exception Deadline
 type t = {
   state : state Atomic.t;
   source : source;
-  telemetry : Telemetry.t;
   policy : Pn_data.Ingest_report.policy;
   chunk_size : int;
   max_body : int;
@@ -57,12 +56,10 @@ let initial_state source =
     let generation, model, expectations = Pnrule.Registry.load_initial reg in
     { model; generation; loaded_at; expectations }
 
-let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
-    ~listener =
+let create ~source ~policy ~chunk_size ~max_body ~max_rows ~deadline ~listener =
   {
     state = Atomic.make (initial_state source);
     source;
-    telemetry;
     policy;
     chunk_size;
     max_body;
@@ -80,8 +77,6 @@ let create ~source ~telemetry ~policy ~chunk_size ~max_body ~max_rows ~deadline
     shed_warming = Atomic.make 0;
     adapt = Atomic.make None;
   }
-
-let telemetry t = t.telemetry
 
 let state t = Atomic.get t.state
 
@@ -285,7 +280,8 @@ let model_json t =
   Buffer.contents buf
 
 let metrics_text t =
-  Telemetry.render t.telemetry ~extra:(fun buf ->
+  Telemetry.render (Listener.telemetry t.listener) ~prefix:"pnrule_" ~rows:true
+    ~extra:(fun buf ->
       let st = Atomic.get t.state in
       (* Generation semantics differ by source: a registry daemon
          serves the on-disk generation number (rollbacks move it DOWN),
@@ -474,7 +470,7 @@ let with_body t conn (req : Http.request) ~scratch k =
     | Some len when len > t.max_body ->
       respond_error conn 413
         (Printf.sprintf "body of %d bytes exceeds the %d byte limit" len t.max_body)
-    | Some len ->
+    | Some _ ->
       (match Http.header req "expect" with
       | Some v when String.lowercase_ascii v = "100-continue" -> Http.continue_100 conn
       | Some _ | None -> ());
@@ -482,7 +478,7 @@ let with_body t conn (req : Http.request) ~scratch k =
         if t.deadline > 0.0 then Unix.gettimeofday () +. t.deadline else Float.infinity
       in
       let guard () = if Unix.gettimeofday () > deadline_at then raise Deadline in
-      let reader = Http.body_reader conn ~length:len in
+      let reader = Http.body_reader conn in
       k ~guard
         (Pn_data.Stream.of_refill ~buf:(Pn_util.Scratch.bytes scratch k_body 65536)
            (fun buf ->
@@ -516,7 +512,7 @@ let predict t conn (req : Http.request) ~index ~scratch ~keep =
   | Ok policy, Ok class_column, Ok scores ->
     with_body t conn req ~scratch (fun ~guard source ->
         let st = Atomic.get t.state in
-        let resp = Http.start_stream conn ~status:200 ~keep_alive:keep () in
+        let resp = Http.start_stream conn ~status:200 ~keep_alive:keep in
         let write s =
           guard ();
           Http.stream_write resp s
@@ -546,7 +542,12 @@ let predict t conn (req : Http.request) ~index ~scratch ~keep =
         with
         | report ->
           Http.stream_finish resp;
-          (200, `Rows report)
+          let slot = Telemetry.slot (Listener.telemetry t.listener) index in
+          let ingest = report.Pnrule.Serve.ingest in
+          Telemetry.add_rows slot ~rows_in:ingest.Pn_data.Ingest_report.rows_read
+            ~rows_out:report.Pnrule.Serve.rows_out;
+          Telemetry.add_retries slot ingest.Pn_data.Ingest_report.io_retries;
+          (200, `Keep)
         | exception Deadline ->
           fail 408 (Printf.sprintf "request exceeded the %gs deadline" t.deadline)
         | exception Pnrule.Serve.Error msg ->
@@ -724,7 +725,8 @@ let admin t conn (req : Http.request) ~back ~keep =
         ();
       (500, `Close))
 
-let dispatch t conn (req : Http.request) ~index ~scratch ~keep =
+let route t ~index ~scratch ~keep conn (req : Http.request) =
+  let with_ep ep (status, outcome) = (ep, status, outcome) in
   match (req.Http.meth, req.Http.path) with
   | "POST", "/predict" ->
     if Listener.draining t.listener then begin
@@ -734,26 +736,26 @@ let dispatch t conn (req : Http.request) ~index ~scratch ~keep =
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining; retry against another instance\n" ();
-      (Telemetry.Predict, (503, `Close))
+      (Telemetry.Predict, 503, `Close)
     end
-    else (Telemetry.Predict, predict t conn req ~index ~scratch ~keep)
+    else with_ep Telemetry.Predict (predict t conn req ~index ~scratch ~keep)
   | _, "/predict" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Predict, (405, `Close))
+    (Telemetry.Predict, 405, `Close)
   | "POST", "/feedback" ->
     if Listener.draining t.listener then begin
       note_shed t `Draining;
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining; retry against another instance\n" ();
-      (Telemetry.Feedback, (503, `Close))
+      (Telemetry.Feedback, 503, `Close)
     end
-    else (Telemetry.Feedback, feedback t conn req ~index ~scratch ~keep)
+    else with_ep Telemetry.Feedback (feedback t conn req ~index ~scratch ~keep)
   | _, "/feedback" ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Feedback, (405, `Close))
-  | "POST", "/admin/rollout" -> (Telemetry.Admin, admin t conn req ~back:false ~keep)
-  | "POST", "/admin/rollback" -> (Telemetry.Admin, admin t conn req ~back:true ~keep)
+    (Telemetry.Feedback, 405, `Close)
+  | "POST", "/admin/rollout" -> with_ep Telemetry.Admin (admin t conn req ~back:false ~keep)
+  | "POST", "/admin/rollback" -> with_ep Telemetry.Admin (admin t conn req ~back:true ~keep)
   | "GET", "/admin/drift" -> (
     match Atomic.get t.adapt with
     | None ->
@@ -761,104 +763,40 @@ let dispatch t conn (req : Http.request) ~index ~scratch ~keep =
         ~body:
           "online adaptation is not enabled; start the daemon with --adapt\n"
         ();
-      (Telemetry.Admin, (409, `Close))
+      (Telemetry.Admin, 409, `Close)
     | Some r ->
       Http.respond conn ~status:200 ~keep_alive:keep
         ~content_type:"application/json; charset=utf-8" ~body:(drift_json r) ();
-      (Telemetry.Admin, (200, `Keep)))
+      (Telemetry.Admin, 200, `Keep))
   | _, ("/admin/rollout" | "/admin/rollback") ->
     Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Admin, (405, `Close))
+    (Telemetry.Admin, 405, `Close)
   | _, "/admin/drift" ->
     Http.respond conn ~status:405 ~body:"use GET\n" ();
-    (Telemetry.Admin, (405, `Close))
+    (Telemetry.Admin, 405, `Close)
   | "GET", "/healthz" ->
     if Listener.draining t.listener then begin
       Http.respond conn ~status:503
         ~headers:[ ("retry-after", "1") ]
         ~body:"draining\n" ();
-      (Telemetry.Healthz, (503, `Close))
+      (Telemetry.Healthz, 503, `Close)
     end
     else begin
       Http.respond conn ~status:200 ~keep_alive:keep ~body:"ok\n" ();
-      (Telemetry.Healthz, (200, `Keep))
+      (Telemetry.Healthz, 200, `Keep)
     end
   | "GET", "/model" ->
     Http.respond conn ~status:200 ~keep_alive:keep
       ~content_type:"application/json; charset=utf-8" ~body:(model_json t) ();
-    (Telemetry.Model_info, (200, `Keep))
+    (Telemetry.Model_info, 200, `Keep)
   | "GET", "/metrics" ->
     Http.respond conn ~status:200 ~keep_alive:keep
       ~content_type:"text/plain; version=0.0.4; charset=utf-8"
       ~body:(metrics_text t) ();
-    (Telemetry.Metrics, (200, `Keep))
+    (Telemetry.Metrics, 200, `Keep)
   | _, ("/healthz" | "/model" | "/metrics") ->
     Http.respond conn ~status:405 ~body:"use GET\n" ();
-    (Telemetry.Other, (405, `Close))
+    (Telemetry.Other, 405, `Close)
   | _, path ->
     Http.respond conn ~status:404 ~body:(Printf.sprintf "no route %s\n" path) ();
-    (Telemetry.Other, (404, `Close))
-
-let handle t ~index ~scratch conn =
-  let slot = Telemetry.slot t.telemetry index in
-  match Http.read_request conn with
-  | exception Http.Disconnect -> `Close
-  | exception Http.Timeout -> `Close
-  | exception Http.Bad_request msg -> (
-    match
-      Http.respond conn ~status:400 ~body:(msg ^ "\n") ();
-      Telemetry.observe slot Telemetry.Other ~status:400 ~seconds:0.0
-    with
-    | () -> `Close
-    | exception _ -> `Close)
-  | req ->
-    let t0 = Unix.gettimeofday () in
-    Telemetry.in_flight_incr t.telemetry;
-    (* The decrement must survive any exit path: admission control
-       compares in_flight against the queue limit, so a decrement lost
-       to a raising handler would not just skew a gauge — every leak
-       would permanently shrink the daemon's capacity until it sheds
-       all traffic. *)
-    Fun.protect
-      ~finally:(fun () -> Telemetry.in_flight_decr t.telemetry)
-      (fun () ->
-        (* A keep-alive response is only offered when the client asked
-           for it, the server is not draining, and the request carried
-           no body we might leave half-read on the socket. *)
-        let keep =
-          req.Http.keep_alive
-          && (not (Listener.draining t.listener))
-          && (req.Http.meth = "POST" || req.Http.content_length = None)
-          && not req.Http.chunked_body
-        in
-        let result =
-          match dispatch t conn req ~index ~scratch ~keep with
-          | r -> r
-          | exception (Http.Disconnect | Http.Timeout) ->
-            (* nginx's 499: the client went away mid-request *)
-            (Telemetry.Other, (499, `Close))
-          | exception e ->
-            (* A handler bug must not take the worker domain down. *)
-            Log.err (fun m ->
-                m "request %s %s crashed: %s" req.Http.meth req.Http.path
-                  (Printexc.to_string e));
-            let status = 500 in
-            (match Http.respond conn ~status ~body:"internal error\n" () with
-            | () -> ()
-            | exception _ -> ());
-            (Telemetry.Other, (status, `Close))
-        in
-        let endpoint, (status, outcome) = result in
-        let seconds = Unix.gettimeofday () -. t0 in
-        Telemetry.observe slot endpoint ~status ~seconds;
-        Telemetry.add_retries slot (Http.take_io_retries conn);
-        match outcome with
-        | `Rows (report : Pnrule.Serve.report) ->
-          Telemetry.add_rows slot
-            ~rows_in:report.Pnrule.Serve.ingest.Pn_data.Ingest_report.rows_read
-            ~rows_out:report.Pnrule.Serve.rows_out;
-          Telemetry.add_retries slot
-            report.Pnrule.Serve.ingest.Pn_data.Ingest_report.io_retries;
-          if keep then `Keep else `Close
-        | `Keep -> if keep then `Keep else `Close
-        | `Close -> `Close)
+    (Telemetry.Other, 404, `Close)

@@ -28,18 +28,17 @@ type source =
 
 type t
 
-(** [create ~source ~telemetry ...] loads the initial model from
+(** [create ~source ...] loads the initial model from
     [source] (exceptions propagate) and fixes the serving parameters.
     [deadline] is the per-request wall-clock budget in seconds (0
     disables it); a request that overruns it — checked on every body
     refill and every response write — is answered 408 (or aborted if
     the response already started). Once [listener] is draining,
     responses stop offering keep-alive, [/healthz] turns 503 and new
-    predict requests are shed; its queue and accept counters are
-    surfaced on [/metrics]. *)
+    predict requests are shed; its telemetry, queue and accept counters
+    are surfaced on [/metrics]. *)
 val create :
   source:source ->
-  telemetry:Telemetry.t ->
   policy:Pn_data.Ingest_report.policy ->
   chunk_size:int ->
   max_body:int ->
@@ -47,8 +46,6 @@ val create :
   deadline:float ->
   listener:Listener.t ->
   t
-
-val telemetry : t -> Telemetry.t
 
 (** Current model snapshot. *)
 val state : t -> state
@@ -89,14 +86,11 @@ val set_adapt : t -> Pn_adapt.Retrainer.t -> unit
 
 val adapt : t -> Pn_adapt.Retrainer.t option
 
-(** [handle t ~index ~scratch conn] reads one request off [conn],
-    dispatches it, writes the response, and records telemetry into
-    worker [index]'s slot (the same index addresses the drift monitor's
-    per-domain counters). The request body streams through, and is
-    decoded and scored in, buffers borrowed from the worker's
-    [scratch]; the drift observer sees them only during its call.
-    Returns whether the connection may serve another request. Never
-    raises: protocol errors become 4xx responses, handler bugs become
-    500s, and a vanished peer becomes [`Close]. *)
-val handle :
-  t -> index:int -> scratch:Pn_util.Scratch.t -> Http.conn -> [ `Keep | `Close ]
+(** [route t] answers the daemon's endpoints, one request at a time,
+    for {!Listener.start}. Predict bodies stream through, and are
+    decoded and scored in, buffers borrowed from the worker's [scratch];
+    the drift observer sees them only during its call. Worker [index]
+    addresses the telemetry slot that predict rows are counted in and
+    the drift monitor's per-domain counters. Protocol errors become 4xx
+    answers that close the connection. *)
+val route : t -> Listener.route

@@ -10,6 +10,7 @@ type conn = {
   mutable rpos : int;
   mutable rlen : int;
   mutable wretries : int;
+  mutable unread : int;  (* request body bytes not yet read *)
   write_fault : string;
   read_fault : string option;
   scratch : Scratch.t;
@@ -20,17 +21,17 @@ type conn = {
 let k_server_rbuf = Scratch.key ()
 let k_client_rbuf = Scratch.key ()
 
-let conn_of_fd ~key ?(buf_size = 16384) ?(scratch = Scratch.create ())
-    ?(write_fault = "serve.chunk_write") ?read_fault fd =
-  if buf_size <= 0 then invalid_arg "Http.make_conn: buf_size";
-  let rbuf = Scratch.bytes scratch key buf_size in
-  { fd; rbuf; rpos = 0; rlen = 0; wretries = 0; write_fault; read_fault; scratch }
+(* 16 KiB: the response-head cap; request heads are capped at 8 KiB. *)
+let conn_of_fd ~key ?(scratch = Scratch.create ()) ?(write_fault = "serve.chunk_write")
+    ?read_fault fd =
+  let rbuf = Scratch.bytes scratch key 16384 in
+  { fd; rbuf; rpos = 0; rlen = 0; wretries = 0; unread = 0; write_fault; read_fault; scratch }
 
-let make_conn = conn_of_fd ~key:k_server_rbuf
+let make_conn ?scratch fd = conn_of_fd ~key:k_server_rbuf ?scratch fd
 
-let fd c = c.fd
+let unread_body c = c.unread
 
-(* Write-side retry accounting, drained once per request by the handler
+(* Write-side retry accounting, drained once per request by the listener
    so keep-alive connections never double-count. *)
 let take_io_retries c =
   let n = c.wretries in
@@ -369,6 +370,8 @@ let read_header_block c ~budget =
   loop ();
   List.rev !headers
 
+(* A chunked body's length is unknown until it is read: it counts as
+   never read to its end. *)
 let read_request ?(max_header = 8192) c =
   let budget = ref max_header in
   let request_line = read_line c ~budget ~at_start:true in
@@ -401,6 +404,7 @@ let read_request ?(max_header = 8192) c =
     | Some v -> String.lowercase_ascii (String.trim v) <> "identity"
     | None -> false
   in
+  c.unread <- (if chunked_body then max_int else Option.value content_length ~default:0);
   let keep_alive =
     let conn = Option.map String.lowercase_ascii (find "connection") in
     if version = "HTTP/1.0" then conn = Some "keep-alive" else conn <> Some "close"
@@ -416,27 +420,25 @@ let read_request ?(max_header = 8192) c =
     keep_alive;
   }
 
-let body_reader c ~length =
-  let remaining = ref length in
-  fun buf ->
-    if !remaining <= 0 then 0
-    else begin
-      let want = min (Bytes.length buf) !remaining in
-      let n =
-        if c.rpos < c.rlen then begin
-          let n = min want (c.rlen - c.rpos) in
-          Bytes.blit c.rbuf c.rpos buf 0 n;
-          c.rpos <- c.rpos + n;
-          n
-        end
-        else
-          match read_into c buf 0 want with
-          | 0 -> raise Disconnect (* body shorter than Content-Length *)
-          | n -> n
-      in
-      remaining := !remaining - n;
-      n
-    end
+let body_reader c buf =
+  if c.unread <= 0 then 0
+  else begin
+    let want = min (Bytes.length buf) c.unread in
+    let n =
+      if c.rpos < c.rlen then begin
+        let n = min want (c.rlen - c.rpos) in
+        Bytes.blit c.rbuf c.rpos buf 0 n;
+        c.rpos <- c.rpos + n;
+        n
+      end
+      else
+        match read_into c buf 0 want with
+        | 0 -> raise Disconnect (* body shorter than Content-Length *)
+        | n -> n
+    in
+    c.unread <- c.unread - n;
+    n
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                            *)
@@ -502,9 +504,7 @@ let continue_100 c = write_all c "HTTP/1.1 100 Continue\r\n\r\n"
 type stream_response = {
   sc : conn;
   status : int;
-  content_type : string;
   keep_alive : bool;
-  threshold : int;
   body : slab;  (* the pending body, then one chunk at a time *)
   mutable started : bool;
   mutable finished : bool;
@@ -512,18 +512,13 @@ type stream_response = {
 
 let k_stream = Scratch.key ()
 
-let start_stream c ?(content_type = "text/csv; charset=utf-8") ?(threshold = 16384)
-    ~status ~keep_alive () =
-  {
-    sc = c;
-    status;
-    content_type;
-    keep_alive;
-    threshold;
-    body = slab c.scratch k_stream;
-    started = false;
-    finished = false;
-  }
+let stream_content_type = "text/csv; charset=utf-8"
+
+(* Buffered body bytes at which the head and first chunk hit the socket. *)
+let stream_threshold = 16384
+
+let start_stream c ~status ~keep_alive =
+  { sc = c; status; keep_alive; body = slab c.scratch k_stream; started = false; finished = false }
 
 let stream_started r = r.started
 
@@ -542,7 +537,7 @@ let send_chunk r =
 
 let start_now r =
   let buf = Buffer.create 256 in
-  add_head buf ~status:r.status ~content_type:r.content_type
+  add_head buf ~status:r.status ~content_type:stream_content_type
     ~keep_alive:r.keep_alive (fun buf ->
       Buffer.add_string buf "transfer-encoding: chunked\r\n");
   write_all r.sc (Buffer.contents buf);
@@ -552,7 +547,7 @@ let stream_write r s =
   if r.finished then invalid_arg "Http.stream_write: finished";
   slab_add_string r.body s;
   if r.started then send_chunk r
-  else if slab_length r.body >= r.threshold then begin
+  else if slab_length r.body >= stream_threshold then begin
     start_now r;
     send_chunk r
   end
@@ -562,7 +557,7 @@ let stream_finish r =
     r.finished <- true;
     if r.started then write_all r.sc "0\r\n\r\n"
     else
-      respond_slab r.sc ~content_type:r.content_type ~keep_alive:r.keep_alive
+      respond_slab r.sc ~content_type:stream_content_type ~keep_alive:r.keep_alive
         ~status:r.status r.body
   end
 
@@ -586,7 +581,7 @@ type response = {
 
 let rheader r name = List.assoc_opt name r.rheaders
 
-let connect ?buf_size ?scratch ?write_fault ?read_fault ~host ~port ~timeout () =
+let connect ?scratch ?write_fault ?read_fault ~host ~port ~timeout () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
@@ -596,7 +591,7 @@ let connect ?buf_size ?scratch ?write_fault ?read_fault ~host ~port ~timeout () 
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  conn_of_fd ~key:k_client_rbuf ?buf_size ?scratch ?write_fault ?read_fault fd
+  conn_of_fd ~key:k_client_rbuf ?scratch ?write_fault ?read_fault fd
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -632,13 +627,21 @@ let read_exact_into c s n =
     | k -> s.len <- s.len + k
   done
 
+let read_body_into c s =
+  read_exact_into c s c.unread;
+  c.unread <- 0
+
 let next_byte c =
   if c.rpos >= c.rlen && not (refill c) then raise Disconnect;
   let b = Bytes.get c.rbuf c.rpos in
   c.rpos <- c.rpos + 1;
   b
 
-let read_to_eof c ~max_body s =
+(* A response body is bounded only by what a string can hold, its head by
+   16 KiB. *)
+let max_body = Sys.max_string_length
+
+let read_to_eof c s =
   let rec go () =
     if c.rpos < c.rlen then begin
       let n = c.rlen - c.rpos in
@@ -653,7 +656,7 @@ let read_to_eof c ~max_body s =
   in
   go ()
 
-let read_chunked c ~max_body s =
+let read_chunked c s =
   let rec chunks () =
     let lbudget = ref 256 in
     let line = read_line c ~budget:lbudget ~at_start:false in
@@ -692,8 +695,8 @@ let read_chunked c ~max_body s =
   in
   chunks ()
 
-let read_response_parts ~max_header ~max_body c s =
-  let budget = ref max_header in
+let read_response_parts c s =
+  let budget = ref 16384 in
   let status_line = read_line c ~budget ~at_start:true in
   let status, reason =
     match String.split_on_char ' ' status_line with
@@ -714,7 +717,7 @@ let read_response_parts ~max_header ~max_body c s =
     | Some v -> String.lowercase_ascii (String.trim v) <> "identity"
     | None -> false
   in
-  (if chunked then read_chunked c ~max_body s
+  (if chunked then read_chunked c s
    else
      match find "content-length" with
      | Some v -> (
@@ -722,17 +725,16 @@ let read_response_parts ~max_header ~max_body c s =
        | Some n when n >= 0 && n <= max_body -> read_exact_into c s n
        | Some n when n >= 0 -> raise (Bad_request "response body too large")
        | Some _ | None -> raise (Bad_request "malformed Content-Length"))
-     | None -> read_to_eof c ~max_body s);
+     | None -> read_to_eof c s);
   (status, reason, rheaders)
 
-let read_response_into ?(max_header = 16384) ?(max_body = Sys.max_string_length) c s
-    =
-  let status, _, rheaders = read_response_parts ~max_header ~max_body c s in
+let read_response_into c s =
+  let status, _, rheaders = read_response_parts c s in
   (status, rheaders)
 
 (* No room: a Content-Length body is read into a buffer of exactly its
    length, which becomes the string without a copy. *)
-let read_response ?(max_header = 16384) ?(max_body = Sys.max_string_length) c =
+let read_response c =
   let s = slab_of_string "" in
-  let status, reason, rheaders = read_response_parts ~max_header ~max_body c s in
+  let status, reason, rheaders = read_response_parts c s in
   { status; reason; rheaders; body = slab_contents s }

@@ -23,34 +23,25 @@ exception Timeout
 
 type conn
 
-(** [make_conn fd] wraps an accepted socket. [buf_size] is the
-    per-connection read buffer (default 16 KiB, the response-head cap;
-    request heads are capped at 8 KiB, and body bytes past what the
-    buffer already holds are read straight into their destination).
-    The read buffer (at least [buf_size] bytes) and a streamed
-    response's body ({!start_stream}) are borrowed from [scratch], a
-    fresh one by default: a worker that passes its own serves every
-    connection from the same buffers. The scratch must outlive the conn
-    and belong to the domain that uses it.
-    [write_fault] names the fault point passed on every write (default
-    ["serve.chunk_write"]);
-    [read_fault], when given, names one passed on every buffered read —
-    the router's proxy legs use ["router.proxy_write"] /
-    ["router.proxy_read"] so chaos runs can fail either direction of a
-    proxied request deterministically. The caller closes [fd]. *)
-val make_conn :
-  ?buf_size:int ->
-  ?scratch:Pn_util.Scratch.t ->
-  ?write_fault:string ->
-  ?read_fault:string ->
-  Unix.file_descr ->
-  conn
+(** [make_conn fd] wraps an accepted socket. Its read buffer is 16 KiB
+    (the response-head cap; request heads are capped at 8 KiB, and body
+    bytes past what the buffer already holds are read straight into
+    their destination). The read buffer and a streamed response's body
+    ({!start_stream}) are borrowed from [scratch], a fresh one by
+    default: a worker that passes its own serves every connection from
+    the same buffers. The scratch must outlive the conn and belong to
+    the domain that uses it. Every write passes the
+    ["serve.chunk_write"] fault point. The caller closes [fd]. *)
+val make_conn : ?scratch:Pn_util.Scratch.t -> Unix.file_descr -> conn
 
-val fd : conn -> Unix.file_descr
+(** Body bytes of the last request read that nobody has read yet:
+    {!read_request} sets the count from the head ([max_int] for a
+    chunked body), {!body_reader} and {!read_body_into} draw it down. *)
+val unread_body : conn -> int
 
 (** [take_io_retries c] returns the transient write errors retried on
     this connection since the last call, and zeroes the counter — the
-    handler drains it once per request into the telemetry slot. Writes
+    listener drains it once per request into the telemetry slot. Writes
     retry EINTR/EAGAIN (and faults injected at [serve.chunk_write]) a
     bounded number of times with jittered exponential backoff. *)
 val take_io_retries : conn -> int
@@ -96,18 +87,18 @@ val slab_length : slab -> int
 (** A copy of the slab's body. *)
 val slab_contents : slab -> string
 
-(** [read_exact_into conn s n] appends the next [n] bytes of the
-    connection to [s]: what the read buffer already holds, then the
-    rest read straight from the socket into the slab. Raises
-    {!Disconnect} if the peer closes first, {!Timeout} on a stalled
-    read. The router reads a proxied request body with it. *)
-val read_exact_into : conn -> slab -> int -> unit
+(** [read_body_into conn s] appends the rest of the request body to [s]:
+    what the read buffer already holds, then the rest read straight
+    from the socket into the slab. Raises {!Disconnect} if the peer
+    closes first, {!Timeout} on a stalled read. The router reads a
+    proxied request body with it. *)
+val read_body_into : conn -> slab -> unit
 
-(** [body_reader conn ~length] is a refill function that yields exactly
-    [length] body bytes then 0, suitable for
-    {!Pn_data.Stream.of_refill}. Raises {!Disconnect} if the peer closes
-    early, {!Timeout} on a stalled read. *)
-val body_reader : conn -> length:int -> bytes -> int
+(** [body_reader conn] is a refill function that yields the rest of the
+    request body then 0, suitable for {!Pn_data.Stream.of_refill}.
+    Raises {!Disconnect} if the peer closes early, {!Timeout} on a
+    stalled read. *)
+val body_reader : conn -> bytes -> int
 
 (** [wait_readable conn ~timeout ~stop] waits for the next request on a
     keep-alive connection: polls in short slices so a drain ([stop ()]
@@ -161,17 +152,10 @@ val continue_100 : conn -> unit
     failure after that point can only abort the connection. *)
 type stream_response
 
-(** [start_stream conn ~status ~keep_alive ()] creates a deferred
-    response. [threshold] is the buffered-bytes point at which the head
-    plus first chunk hit the socket (default 16 KiB). *)
-val start_stream :
-  conn ->
-  ?content_type:string ->
-  ?threshold:int ->
-  status:int ->
-  keep_alive:bool ->
-  unit ->
-  stream_response
+(** [start_stream conn ~status ~keep_alive] creates a deferred CSV
+    response; its head and first chunk hit the socket once 16 KiB of
+    body are buffered. *)
+val start_stream : conn -> status:int -> keep_alive:bool -> stream_response
 
 (** Whether any byte of this response has reached the socket. *)
 val stream_started : stream_response -> bool
@@ -220,13 +204,16 @@ type response = {
 val rheader : response -> string -> string option
 
 (** [connect ~host ~port ~timeout ()] opens a TCP connection with
-    [TCP_NODELAY] and both socket timeouts set to [timeout].
-    [buf_size]/[scratch]/[write_fault]/[read_fault] as in {!make_conn};
-    a client conn's read buffer is a different scratch buffer from a
-    server conn's, so one worker can hold one of each. Raises
-    [Unix.Unix_error] on connect failure (the fd is closed). *)
+    [TCP_NODELAY] and both socket timeouts set to [timeout]. [scratch]
+    as in {!make_conn}; a client conn's read buffer is a different
+    scratch buffer from a server conn's, so one worker can hold one of
+    each. [write_fault] names the fault point passed on every write
+    (default ["serve.chunk_write"]); [read_fault], when given, names one
+    passed on every buffered read — the router's proxy legs use
+    ["router.proxy_write"] / ["router.proxy_read"] so chaos runs can
+    fail either direction of a proxied request deterministically.
+    Raises [Unix.Unix_error] on connect failure (the fd is closed). *)
 val connect :
-  ?buf_size:int ->
   ?scratch:Pn_util.Scratch.t ->
   ?write_fault:string ->
   ?read_fault:string ->
@@ -265,17 +252,11 @@ val send_request :
   unit
 
 (** [read_response_into c s] blocks for one response, appends its
-    decoded body to [s] and returns its status and headers. [max_header]
-    bounds the head (default 16 KiB), [max_body] the decoded body
-    (default unbounded). Raises {!Bad_request}, {!Disconnect},
-    {!Timeout} as described above. *)
-val read_response_into :
-  ?max_header:int ->
-  ?max_body:int ->
-  conn ->
-  slab ->
-  int * (string * string) list
+    decoded body to [s] and returns its status and headers. The head is
+    bounded at 16 KiB, the body only by what a string can hold. Raises
+    {!Bad_request}, {!Disconnect}, {!Timeout} as described above. *)
+val read_response_into : conn -> slab -> int * (string * string) list
 
 (** [read_response c] is {!read_response_into} with the body returned
     as a string. *)
-val read_response : ?max_header:int -> ?max_body:int -> conn -> response
+val read_response : conn -> response

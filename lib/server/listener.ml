@@ -43,9 +43,18 @@ type worker_slot = {
   dead : bool Atomic.t;
 }
 
+type route =
+  index:int ->
+  scratch:Pn_util.Scratch.t ->
+  keep:bool ->
+  Http.conn ->
+  Http.request ->
+  Telemetry.endpoint * int * [ `Keep | `Close ]
+
 type t = {
   who : string;
   config : config;
+  telemetry : Telemetry.t;
   queue : Unix.file_descr option Q.t;
   queued : int Atomic.t;
   stop_req : bool Atomic.t;
@@ -74,6 +83,7 @@ let create ~who config =
   {
     who;
     config;
+    telemetry = Telemetry.create ~slots:config.domains;
     queue = Q.create ();
     queued = Atomic.make 0;
     stop_req = Atomic.make false;
@@ -87,6 +97,7 @@ let create ~who config =
   }
 
 let port t = t.port
+let telemetry t = t.telemetry
 let request_stop t = Atomic.set t.stop_req true
 let draining t = Atomic.get t.draining
 let queued t = Atomic.get t.queued
@@ -99,15 +110,65 @@ let worker_restarts t = Atomic.get t.worker_restarts
 (* Worker domains                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The routes that read a request body to its end, on both tiers. Any
+   other request that carries a body closes its connection after the
+   answer: the unread bytes must never be parsed as the next request. *)
+let reads_body (req : Http.request) =
+  req.meth = "POST" && (req.path = "/predict" || req.path = "/feedback")
+
+(* One request, head to record. A bad head is a 400; the in-flight gauge
+   admission reads is held while the route runs, and its decrement
+   survives any exit path (a lost decrement would shrink capacity for
+   good). A route may keep the connection only when the client asked
+   for it, the tier is not draining, and no body byte is left unread.
+   A client that vanished mid-request is recorded as nginx's 499; a
+   route that raises is answered 500, so a handler bug never takes the
+   worker down. *)
+let request t ~route ~index ~scratch conn =
+  let slot = Telemetry.slot t.telemetry index in
+  match Http.read_request conn with
+  | exception (Http.Disconnect | Http.Timeout) -> `Close
+  | exception Http.Bad_request msg ->
+    (try Http.respond conn ~status:400 ~body:(msg ^ "\n") () with _ -> ());
+    Telemetry.observe slot Telemetry.Other ~status:400 ~seconds:0.0;
+    `Close
+  | req ->
+    let t0 = Unix.gettimeofday () in
+    Telemetry.in_flight_incr t.telemetry;
+    Fun.protect
+      ~finally:(fun () -> Telemetry.in_flight_decr t.telemetry)
+      (fun () ->
+        let keep =
+          req.Http.keep_alive
+          && (not (draining t))
+          && (Http.unread_body conn = 0 || reads_body req)
+        in
+        let endpoint, status, outcome =
+          match route ~index ~scratch ~keep conn req with
+          | answer -> answer
+          | exception (Http.Disconnect | Http.Timeout) -> (Telemetry.Other, 499, `Close)
+          | exception e ->
+            Log.err (fun m ->
+                m "%s: request %s %s crashed: %s" t.who req.Http.meth req.Http.path
+                  (Printexc.to_string e));
+            (try Http.respond conn ~status:500 ~body:"internal error\n" () with _ -> ());
+            (Telemetry.Other, 500, `Close)
+        in
+        Telemetry.observe slot endpoint ~status ~seconds:(Unix.gettimeofday () -. t0);
+        Telemetry.add_retries slot (Http.take_io_retries conn);
+        if keep && outcome = `Keep && Http.unread_body conn = 0 then `Keep else `Close)
+
 (* One connection, start to close: keep-alive requests loop until the
    client leaves, the idle timeout fires, or a drain begins. Any
-   exception that escapes [handle] means the connection is beyond
+   exception that escapes [request] means the connection is beyond
    saving — close it, keep the worker. The one deliberate hole: an
    injected fault is re-raised so it kills the worker domain, which is
    exactly the crash the supervision path exists to recover from. After
    every request, however it ended, the worker's buffers are trimmed to
-   the retention limit. *)
-let serve_conn t ~handle ~index ~scratch fd =
+   the retention limit. The close sends FIN after the last answer
+   before any body bytes left unread turn it into a reset, so the
+   client reads that answer and then EOF. *)
+let serve_conn t ~route ~index ~scratch fd =
   let conn = Http.make_conn ~scratch fd in
   let rec requests () =
     match
@@ -119,13 +180,15 @@ let serve_conn t ~handle ~index ~scratch fd =
       match
         Fun.protect
           ~finally:(fun () -> Pn_util.Scratch.trim scratch)
-          (fun () -> handle ~index ~scratch conn)
+          (fun () -> request t ~route ~index ~scratch conn)
       with
       | `Keep -> requests ()
       | `Close -> ())
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       try
         Pn_util.Fault.check "server.worker";
@@ -139,14 +202,14 @@ let serve_conn t ~handle ~index ~scratch fd =
    clean and the listener can respawn it. Each worker (a respawned one
    included) owns a fresh set of request buffers, used by this domain
    alone. *)
-let worker t ~handle i dead () =
+let worker t ~route i dead () =
   let scratch = Pn_util.Scratch.create () in
   let rec loop () =
     match Q.pop t.queue with
     | None -> ()
     | Some fd ->
       ignore (Atomic.fetch_and_add t.queued (-1));
-      serve_conn t ~handle ~index:i ~scratch fd;
+      serve_conn t ~route ~index:i ~scratch fd;
       loop ()
   in
   try loop ()
@@ -157,7 +220,7 @@ let worker t ~handle i dead () =
 
 (* Supervision sweep, run from the listener loop: join any worker that
    flagged itself dead and respawn into the same slot. *)
-let check_workers t ~handle =
+let check_workers t ~route =
   Array.iteri
     (fun i ws ->
       if Atomic.get ws.dead then begin
@@ -165,7 +228,7 @@ let check_workers t ~handle =
         ignore (Atomic.fetch_and_add t.worker_restarts 1);
         Log.warn (fun m -> m "%s: respawning dead worker domain %d" t.who i);
         Atomic.set ws.dead false;
-        ws.domain <- Domain.spawn (worker t ~handle i ws.dead)
+        ws.domain <- Domain.spawn (worker t ~route i ws.dead)
       end)
     t.workers
 
@@ -173,7 +236,7 @@ let check_workers t ~handle =
 (* Listener domain                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let accept t lfd ~in_flight =
+let accept t lfd =
   match Unix.accept ~cloexec:true lfd with
   | fd, _ ->
     (* Bound every read so a stalled peer cannot pin a worker. *)
@@ -188,7 +251,8 @@ let accept t lfd ~in_flight =
        bounded queue can absorb. A refusal is one canned write from this
        domain, so a saturated server sheds at accept speed instead of
        queueing work until deadlines fire. *)
-    if in_flight () + Atomic.get t.queued >= t.config.queue_limit then begin
+    if Telemetry.in_flight_count t.telemetry + Atomic.get t.queued >= t.config.queue_limit
+    then begin
       ignore (Atomic.fetch_and_add t.overload_shed 1);
       Http.deny fd ~status:429 ~retry_after:1 ~body:"over capacity; retry later\n";
       try Unix.close fd with Unix.Unix_error _ -> ()
@@ -208,13 +272,13 @@ let accept t lfd ~in_flight =
        listener domain and hanging [join]. *)
     Atomic.set t.stop_req true
 
-let listener t lfd ~handle ~in_flight ~tick ~after_drain () =
+let listener t lfd ~route ~tick ~after_drain () =
   let rec loop () =
     tick ();
-    check_workers t ~handle;
+    check_workers t ~route;
     if not (Atomic.get t.stop_req) then begin
       (match Unix.select [ lfd ] [] [] 0.05 with
-      | [ _ ], _, _ -> accept t lfd ~in_flight
+      | [ _ ], _, _ -> accept t lfd
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
@@ -258,7 +322,7 @@ let free_port host =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   port
 
-let start t ~handle ~in_flight ~tick ~after_drain =
+let start t ~route ~tick ~after_drain =
   (* SIGPIPE must die before the first write to a vanished client. *)
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let lfd, port = bind t.config.host t.config.port in
@@ -270,10 +334,8 @@ let start t ~handle ~in_flight ~tick ~after_drain =
   t.workers <-
     Array.init t.config.domains (fun i ->
         let dead = Atomic.make false in
-        { domain = Domain.spawn (worker t ~handle i dead); dead });
-  t.listener <-
-    Some
-      (Domain.spawn (listener t lfd ~handle ~in_flight ~tick ~after_drain))
+        { domain = Domain.spawn (worker t ~route i dead); dead });
+  t.listener <- Some (Domain.spawn (listener t lfd ~route ~tick ~after_drain))
 
 let join t =
   match t.listener with

@@ -1,15 +1,28 @@
 (** The serving front end shared by the prediction daemon ({!Server})
     and the shard router: one listener domain accepting TCP connections
     into a blocking queue, and a fixed pool of worker domains that each
-    own one connection at a time, start to close.
+    own one connection at a time, start to close, and run every request
+    on it through one lifecycle.
 
     - The listener polls the socket every 50 ms. Accepted sockets get
-      [SO_RCVTIMEO] = [idle_timeout] (a stalled peer cannot pin a
-      worker) and [TCP_NODELAY].
+      [SO_RCVTIMEO] = [idle_timeout] (each read is bounded; a head or
+      body trickled one byte per timeout is not) and [TCP_NODELAY].
     - Admission control: a connection accepted while in-flight requests
       plus queued connections have reached [queue_limit] is refused on
       the spot with a canned [429] + [Retry-After: 1]. Accepted work is
       never dropped; new work is shed at accept speed.
+    - One request: a worker reads the head (a bad one is answered [400]
+      and closes), holds the in-flight gauge admission reads, runs the
+      tier's {!route}, and records the request and the connection's IO
+      retries in the tier's {!Telemetry}. A client that vanishes
+      mid-request is recorded as [499]; a route that raises is answered
+      [500]. Both close the connection.
+    - Keep-alive: a connection serves another request only when the
+      client asked for it, the tier is not draining, the route kept it,
+      and the request had no body or went to a route that reads its
+      body to the end ([POST /predict], [POST /feedback]). Body bytes a
+      route left unread close the connection, so they are never parsed
+      as the next request.
     - Supervision: a worker domain that dies on an escaped exception
       flags itself; the listener joins it and respawns a fresh domain
       into the same slot (same [index]) within ~50 ms. The
@@ -37,30 +50,38 @@ type config = {
 
 type t
 
-(** [create ~who config] checks [config] and allocates the queue and
-    counters; it opens nothing. An out-of-range field raises
-    [Invalid_argument "<who>.start: ..."]. *)
+(** A tier's endpoints: [route ~index ~scratch ~keep conn req] answers
+    [req] on [conn] and returns the endpoint and status to record and
+    whether its answer left the connection reusable. [index] is the
+    worker's slot in [0, domains); [scratch] its own request buffers
+    (created with the worker, and anew when a dead worker is respawned;
+    [conn]'s read buffer is one of them), trimmed with
+    {!Pn_util.Scratch.trim} after every request. [keep] is what the
+    answer's [Connection] header must say. *)
+type route =
+  index:int ->
+  scratch:Pn_util.Scratch.t ->
+  keep:bool ->
+  Http.conn ->
+  Http.request ->
+  Telemetry.endpoint * int * [ `Keep | `Close ]
+
+(** [create ~who config] checks [config] and allocates the queue, the
+    counters and the tier's telemetry; it opens nothing. An out-of-range
+    field raises [Invalid_argument "<who>.start: ..."]. *)
 val create : who:string -> config -> t
 
-(** [start t ~handle ~in_flight ~tick ~after_drain] binds the socket,
-    spawns the workers and the listener domain, and returns. A worker
-    calls [handle ~index ~scratch conn] once per request on a
-    connection, [index] being its slot in [0, domains) and [scratch]
-    its own request buffers (created with the worker, and anew when a
-    dead worker is respawned; [conn]'s read buffer is one of them),
-    trimmed with {!Pn_util.Scratch.trim} after every request;
-    [`Keep] waits for the next request.
-    [in_flight ()] counts requests being processed, for admission.
-    [tick ()] runs in the listener domain once per poll. [after_drain ()]
-    runs in the listener domain once the workers are joined. Raises
-    [Unix.Unix_error] if the bind fails. *)
+(** The tier's request telemetry, one slot per worker domain. *)
+val telemetry : t -> Telemetry.t
+
+(** [start t ~route ~tick ~after_drain] binds the socket, spawns the
+    workers and the listener domain, and returns. Every request on every
+    connection runs through [route]. [tick ()] runs in the listener
+    domain once per poll. [after_drain ()] runs in the listener domain
+    once the workers are joined. Raises [Unix.Unix_error] if the bind
+    fails. *)
 val start :
-  t ->
-  handle:(index:int -> scratch:Pn_util.Scratch.t -> Http.conn -> [ `Keep | `Close ]) ->
-  in_flight:(unit -> int) ->
-  tick:(unit -> unit) ->
-  after_drain:(unit -> unit) ->
-  unit
+  t -> route:route -> tick:(unit -> unit) -> after_drain:(unit -> unit) -> unit
 
 (** The bound port, once {!start} has returned. *)
 val port : t -> int

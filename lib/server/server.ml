@@ -69,9 +69,8 @@ let start ?(config = default_config) ~source () =
   | Some _, Handler.Loader _ ->
     invalid_arg "Server.start: adapt requires a Registry source"
   | _ -> ());
-  let telemetry = Telemetry.create ~slots:config.domains in
   let handler =
-    Handler.create ~source ~telemetry ~policy:config.policy
+    Handler.create ~source ~policy:config.policy
       ~chunk_size:config.chunk_size ~max_body:config.max_body
       ~max_rows:config.max_rows ~deadline:config.deadline ~listener
   in
@@ -98,8 +97,7 @@ let start ?(config = default_config) ~source () =
       Some r
   in
   let t = { listener; handler; reload_req = Atomic.make false } in
-  Listener.start listener ~handle:(Handler.handle handler)
-    ~in_flight:(fun () -> Telemetry.in_flight_count telemetry)
+  Listener.start listener ~route:(Handler.route handler)
     ~tick:(fun () ->
       if Atomic.exchange t.reload_req false then ignore (Handler.reload handler))
     ~after_drain:(fun () -> Option.iter Pn_adapt.Retrainer.stop retrainer);

@@ -111,38 +111,36 @@ let sum_float t f =
 let header buf name help kind =
   Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind
 
-let render t ~extra =
+let render t ~prefix ~rows ~extra =
   let buf = Buffer.create 4096 in
-  header buf "pnrule_requests_total" "Requests handled, by endpoint." "counter";
-  Array.iter
-    (fun ep ->
-      let e = endpoint_index ep in
-      Printf.bprintf buf "pnrule_requests_total{endpoint=%S} %d\n"
-        (endpoint_label ep)
-        (sum_int t (fun s -> s.requests.(e))))
-    endpoints;
-  header buf "pnrule_request_errors_total"
-    "Requests answered with a 4xx/5xx status, by endpoint." "counter";
-  Array.iter
-    (fun ep ->
-      let e = endpoint_index ep in
-      Printf.bprintf buf "pnrule_request_errors_total{endpoint=%S} %d\n"
-        (endpoint_label ep)
-        (sum_int t (fun s -> s.errors.(e))))
-    endpoints;
-  header buf "pnrule_rows_in_total"
-    "Data rows decoded from predict bodies (kept or skipped)." "counter";
-  Printf.bprintf buf "pnrule_rows_in_total %d\n" (sum_int t (fun s -> s.rows_in));
-  header buf "pnrule_rows_out_total" "Prediction lines written." "counter";
-  Printf.bprintf buf "pnrule_rows_out_total %d\n" (sum_int t (fun s -> s.rows_out));
-  header buf "pnrule_io_retries_total"
-    "Transient IO errors retried with backoff (socket reads and writes)."
+  let header name = header buf (prefix ^ name) in
+  let per_endpoint name f =
+    Array.iter
+      (fun ep ->
+        let e = endpoint_index ep in
+        Printf.bprintf buf "%s%s{endpoint=%S} %d\n" prefix name (endpoint_label ep)
+          (sum_int t (fun s -> f s e)))
+      endpoints
+  in
+  let total name f = Printf.bprintf buf "%s%s %d\n" prefix name (sum_int t f) in
+  header "requests_total" "Requests handled, by endpoint." "counter";
+  per_endpoint "requests_total" (fun s e -> s.requests.(e));
+  header "request_errors_total" "Requests answered with a 4xx/5xx status, by endpoint."
     "counter";
-  Printf.bprintf buf "pnrule_io_retries_total %d\n"
-    (sum_int t (fun s -> s.io_retries));
-  header buf "pnrule_in_flight" "Requests currently being processed." "gauge";
-  Printf.bprintf buf "pnrule_in_flight %d\n" (Atomic.get t.in_flight);
-  header buf "pnrule_request_seconds" "Request latency, by endpoint." "histogram";
+  per_endpoint "request_errors_total" (fun s e -> s.errors.(e));
+  if rows then begin
+    header "rows_in_total" "Data rows decoded from predict bodies (kept or skipped)."
+      "counter";
+    total "rows_in_total" (fun s -> s.rows_in);
+    header "rows_out_total" "Prediction lines written." "counter";
+    total "rows_out_total" (fun s -> s.rows_out)
+  end;
+  header "io_retries_total"
+    "Transient IO errors retried with backoff (socket reads and writes)." "counter";
+  total "io_retries_total" (fun s -> s.io_retries);
+  header "in_flight" "Requests currently being processed." "gauge";
+  Printf.bprintf buf "%sin_flight %d\n" prefix (Atomic.get t.in_flight);
+  header "request_seconds" "Request latency, by endpoint." "histogram";
   Array.iter
     (fun ep ->
       let e = endpoint_index ep in
@@ -151,15 +149,15 @@ let render t ~extra =
       Array.iteri
         (fun b le ->
           cumulative := !cumulative + sum_int t (fun s -> s.lat_buckets.(e).(b));
-          Printf.bprintf buf "pnrule_request_seconds_bucket{endpoint=%S,le=\"%g\"} %d\n"
+          Printf.bprintf buf "%srequest_seconds_bucket{endpoint=%S,le=\"%g\"} %d\n" prefix
             label le !cumulative)
         buckets;
       let count = sum_int t (fun s -> s.requests.(e)) in
-      Printf.bprintf buf "pnrule_request_seconds_bucket{endpoint=%S,le=\"+Inf\"} %d\n"
+      Printf.bprintf buf "%srequest_seconds_bucket{endpoint=%S,le=\"+Inf\"} %d\n" prefix
         label count;
-      Printf.bprintf buf "pnrule_request_seconds_sum{endpoint=%S} %.6f\n" label
+      Printf.bprintf buf "%srequest_seconds_sum{endpoint=%S} %.6f\n" prefix label
         (sum_float t (fun s -> s.lat_sum.(e)));
-      Printf.bprintf buf "pnrule_request_seconds_count{endpoint=%S} %d\n" label count)
+      Printf.bprintf buf "%srequest_seconds_count{endpoint=%S} %d\n" prefix label count)
     endpoints;
   extra buf;
   Buffer.contents buf

@@ -1,4 +1,5 @@
-(** Serving metrics: lock-free per-domain counters, merged at scrape.
+(** Serving metrics of one tier (the daemon or the shard router):
+    lock-free per-domain counters, merged at scrape.
 
     Every worker domain owns one {!slot} and is the only writer to it, so
     recording a request is a handful of uncontended atomic stores — no
@@ -47,8 +48,9 @@ val add_rows : slot -> rows_in:int -> rows_out:int -> unit
     [pnrule_io_retries_total]. *)
 val add_retries : slot -> int -> unit
 
-(** The in-flight request gauge (shared; incremented when a request has
-    been parsed, decremented when its response is done). *)
+(** The in-flight request gauge (shared; the listener increments it once
+    a request head has been parsed and decrements it when the request is
+    done). *)
 val in_flight_incr : t -> unit
 
 val in_flight_decr : t -> unit
@@ -58,7 +60,11 @@ val in_flight_decr : t -> unit
     load. *)
 val in_flight_count : t -> int
 
-(** [render t ~extra] merges all slots and renders the exposition text.
-    [extra] may append additional, caller-owned metric lines (the server
-    adds model generation / reload counters). *)
-val render : t -> extra:(Buffer.t -> unit) -> string
+(** [render t ~prefix ~rows ~extra] merges all slots and renders the
+    exposition text, every series name starting with [prefix]: the
+    daemon renders under ["pnrule_"], the shard router under
+    ["pnrule_router_"], so the two never collide in the router's merged
+    scrape. The rows counters are rendered only when [rows] holds (the
+    router decodes no rows). [extra] may append additional, caller-owned
+    metric lines (model generation, shard health). *)
+val render : t -> prefix:string -> rows:bool -> extra:(Buffer.t -> unit) -> string

@@ -3,6 +3,7 @@ let log = Logs.Src.create "pn_shard.router" ~doc:"shard router lifecycle"
 module Log = (val Logs.src_log log)
 module Http = Pn_server.Http
 module Listener = Pn_server.Listener
+module Telemetry = Pn_server.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -52,58 +53,28 @@ let backlog = 128  (* kernel listen(2) backlog of the client socket *)
 (* Router telemetry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The router's own series live under [pnrule_router_*] so they can
-   never collide with the backend [pnrule_*] series merged into the
-   same /metrics scrape. Plain shared atomics (not the per-domain
-   Telemetry slots): the router's counters are incremented once per
-   request, not per chunk, so contention is negligible. *)
-
-let endpoint_labels =
-  [| "predict"; "feedback"; "healthz"; "model"; "metrics"; "admin"; "other" |]
-
-let ep_predict = 0
-let ep_feedback = 1
-let ep_healthz = 2
-let ep_model = 3
-let ep_metrics = 4
-let ep_admin = 5
-let ep_other = 6
-
-let classify path =
-  match path with
-  | "/predict" -> ep_predict
-  | "/feedback" -> ep_feedback
-  | "/healthz" -> ep_healthz
-  | "/model" -> ep_model
-  | "/metrics" -> ep_metrics
-  | _ ->
-    if String.length path >= 7 && String.sub path 0 7 = "/admin/" then ep_admin
-    else ep_other
-
+(* Requests, their latency and the in-flight gauge are recorded by the
+   listener into its telemetry, rendered under [pnrule_router_*] so they
+   never collide with the backend [pnrule_*] series merged into the same
+   /metrics scrape. These are the router's own events, plain shared
+   atomics: each happens at most once per request. *)
 type rtel = {
-  requests : int Atomic.t array;  (* per endpoint class *)
-  errors : int Atomic.t array;  (* responses >= 400, per class *)
   failovers : int Atomic.t;  (* re-dispatches to another shard *)
   proxy_retries : int Atomic.t;  (* transient IO retries on proxy legs *)
   respawns : int Atomic.t;  (* shard processes respawned *)
   spawn_failures : int Atomic.t;  (* spawn attempts that failed outright *)
   shed_no_backend : int Atomic.t;
   shed_draining : int Atomic.t;
-  in_flight : int Atomic.t;
 }
 
 let make_rtel () =
-  let n = Array.length endpoint_labels in
   {
-    requests = Array.init n (fun _ -> Atomic.make 0);
-    errors = Array.init n (fun _ -> Atomic.make 0);
     failovers = Atomic.make 0;
     proxy_retries = Atomic.make 0;
     respawns = Atomic.make 0;
     spawn_failures = Atomic.make 0;
     shed_no_backend = Atomic.make 0;
     shed_draining = Atomic.make 0;
-    in_flight = Atomic.make 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +142,7 @@ let attempt t b ~scratch ~meth ~target ~headers ~body =
         | None -> Http.send_request c ~meth ~target ~headers ());
         let resp = Http.slab scratch k_response in
         let status, rheaders =
-          Http.read_response_into ~max_body:Sys.max_string_length c resp
+          Http.read_response_into c resp
         in
         (status, rheaders, resp))
   with
@@ -308,63 +279,45 @@ let merge_scrapes bodies =
   Buffer.contents buf
 
 let router_metrics_text t =
-  let buf = Buffer.create 2048 in
-  let counter name help render =
-    Printf.bprintf buf "# HELP %s %s\n# TYPE %s counter\n" name help name;
-    render name
-  in
-  let gauge name help render =
-    Printf.bprintf buf "# HELP %s %s\n# TYPE %s gauge\n" name help name;
-    render name
-  in
-  let scalar v name = Printf.bprintf buf "%s %d\n" name v in
-  counter "pnrule_router_requests_total" "Requests seen by the shard router"
-    (fun name ->
-      Array.iteri
-        (fun i c ->
-          Printf.bprintf buf "%s{endpoint=%S} %d\n" name endpoint_labels.(i)
-            (Atomic.get c))
-        t.rtel.requests);
-  counter "pnrule_router_request_errors_total"
-    "Router responses with status >= 400" (fun name ->
-      Array.iteri
-        (fun i c ->
-          Printf.bprintf buf "%s{endpoint=%S} %d\n" name endpoint_labels.(i)
-            (Atomic.get c))
-        t.rtel.errors);
-  counter "pnrule_router_failovers_total"
-    "Requests transparently re-dispatched to another shard after a failure"
-    (scalar (Atomic.get t.rtel.failovers));
-  counter "pnrule_router_proxy_io_retries_total"
-    "Transient IO retries on router->shard proxy legs"
-    (scalar (Atomic.get t.rtel.proxy_retries));
-  counter "pnrule_router_respawns_total" "Shard processes respawned"
-    (scalar (Atomic.get t.rtel.respawns));
-  counter "pnrule_router_spawn_failures_total"
-    "Shard spawn attempts that failed"
-    (scalar (Atomic.get t.rtel.spawn_failures));
-  counter "pnrule_router_shed_total" "Requests refused by the router"
-    (fun name ->
-      Printf.bprintf buf "%s{reason=\"overload\"} %d\n" name
-        (Listener.overload_shed t.listener);
-      Printf.bprintf buf "%s{reason=\"no_backend\"} %d\n" name
-        (Atomic.get t.rtel.shed_no_backend);
-      Printf.bprintf buf "%s{reason=\"draining\"} %d\n" name
-        (Atomic.get t.rtel.shed_draining));
-  counter "pnrule_router_connections_total" "Client connections accepted"
-    (scalar (Listener.connections t.listener));
-  gauge "pnrule_router_backends" "Configured shard count"
-    (scalar (Array.length t.backends));
-  gauge "pnrule_router_backends_healthy" "Shards currently in rotation"
-    (scalar (healthy_count t));
-  gauge "pnrule_router_backend_up" "Per-shard health (1 = in rotation)"
-    (fun name ->
-      Array.iter
-        (fun b ->
-          Printf.bprintf buf "%s{backend=\"%d\"} %d\n" name b.Backend.index
-            (if Atomic.get b.Backend.state = Backend.Healthy then 1 else 0))
-        t.backends);
-  Buffer.contents buf
+  Telemetry.render (Listener.telemetry t.listener) ~prefix:"pnrule_router_" ~rows:false
+    ~extra:(fun buf ->
+      let series kind name help render =
+        Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind;
+        render name
+      in
+      let scalar v name = Printf.bprintf buf "%s %d\n" name v in
+      series "counter" "pnrule_router_failovers_total"
+        "Requests transparently re-dispatched to another shard after a failure"
+        (scalar (Atomic.get t.rtel.failovers));
+      series "counter" "pnrule_router_proxy_io_retries_total"
+        "Transient IO retries on router->shard proxy legs"
+        (scalar (Atomic.get t.rtel.proxy_retries));
+      series "counter" "pnrule_router_respawns_total" "Shard processes respawned"
+        (scalar (Atomic.get t.rtel.respawns));
+      series "counter" "pnrule_router_spawn_failures_total"
+        "Shard spawn attempts that failed"
+        (scalar (Atomic.get t.rtel.spawn_failures));
+      series "counter" "pnrule_router_shed_total" "Requests refused by the router"
+        (fun name ->
+          Printf.bprintf buf "%s{reason=\"overload\"} %d\n" name
+            (Listener.overload_shed t.listener);
+          Printf.bprintf buf "%s{reason=\"no_backend\"} %d\n" name
+            (Atomic.get t.rtel.shed_no_backend);
+          Printf.bprintf buf "%s{reason=\"draining\"} %d\n" name
+            (Atomic.get t.rtel.shed_draining));
+      series "counter" "pnrule_router_connections_total" "Client connections accepted"
+        (scalar (Listener.connections t.listener));
+      series "gauge" "pnrule_router_backends" "Configured shard count"
+        (scalar (Array.length t.backends));
+      series "gauge" "pnrule_router_backends_healthy" "Shards currently in rotation"
+        (scalar (healthy_count t));
+      series "gauge" "pnrule_router_backend_up" "Per-shard health (1 = in rotation)"
+        (fun name ->
+          Array.iter
+            (fun b ->
+              Printf.bprintf buf "%s{backend=\"%d\"} %d\n" name b.Backend.index
+                (if Atomic.get b.Backend.state = Backend.Healthy then 1 else 0))
+            t.backends))
 
 let metrics_body t =
   let bodies =
@@ -524,10 +477,6 @@ let rolling_admin t ~scratch ~back ~query =
 (* Request handling                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let observe t ~ep ~status =
-  ignore (Atomic.fetch_and_add t.rtel.requests.(ep) 1);
-  if status >= 400 then ignore (Atomic.fetch_and_add t.rtel.errors.(ep) 1)
-
 let encode_target req =
   let path =
     String.split_on_char '/' req.Http.path
@@ -545,154 +494,126 @@ let encode_target req =
    framing, again head and body in one write. The body bytes are
    relayed untouched, so predictions through the router are
    byte-identical to a direct backend (and to batch Serve). *)
-let proxy t conn req ~ep ~keep ~scratch =
+let proxy t conn req ep ~keep ~scratch =
+  let refuse ?headers status body =
+    Http.respond conn ?headers ~status ~body ();
+    (ep, status, `Close)
+  in
   if Listener.draining t.listener then begin
     ignore (Atomic.fetch_and_add t.rtel.shed_draining 1);
-    observe t ~ep ~status:503;
-    Http.respond conn ~status:503
-      ~headers:[ ("retry-after", "1") ]
-      ~body:"draining; retry later\n" ();
-    `Close
+    refuse ~headers:[ ("retry-after", "1") ] 503 "draining; retry later\n"
   end
-  else if req.Http.chunked_body then begin
-    observe t ~ep ~status:411;
-    Http.respond conn ~status:411
-      ~body:"chunked request bodies are not supported; send Content-Length\n"
-      ();
-    `Close
-  end
+  else if req.Http.chunked_body then
+    refuse 411 "chunked request bodies are not supported; send Content-Length\n"
   else
     match req.Http.content_length with
-    | None ->
-      observe t ~ep ~status:411;
-      Http.respond conn ~status:411 ~body:"Content-Length required\n" ();
-      `Close
-    | Some len when len > t.config.max_body ->
-      observe t ~ep ~status:413;
-      Http.respond conn ~status:413 ~body:"request body too large\n" ();
-      `Close
-    | Some len -> (
+    | None -> refuse 411 "Content-Length required\n"
+    | Some len when len > t.config.max_body -> refuse 413 "request body too large\n"
+    | Some _ -> (
       (match Http.header req "expect" with
       | Some e when String.lowercase_ascii e = "100-continue" ->
         Http.continue_100 conn
       | _ -> ());
       let body = Http.slab scratch k_request in
-      match Http.read_exact_into conn body len with
-      | exception (Http.Disconnect | Http.Timeout) ->
-        (* The client vanished before the request was admitted. *)
-        `Close
-      | () -> (
-        let target = encode_target req in
-        let headers =
-          ("connection", "close")
-          ::
-          (match Http.header req "content-type" with
-          | Some ct -> [ ("content-type", ct) ]
-          | None -> [])
+      Http.read_body_into conn body;
+      let target = encode_target req in
+      let headers =
+        ("connection", "close")
+        ::
+        (match Http.header req "content-type" with
+        | Some ct -> [ ("content-type", ct) ]
+        | None -> [])
+      in
+      match
+        dispatch_failover t ~scratch ~meth:req.Http.meth ~target ~headers
+          ~body:(Some body)
+      with
+      | Ok (b, (status, rheaders, resp)) ->
+        ignore (Atomic.fetch_and_add b.Backend.proxied 1);
+        let content_type =
+          Option.value
+            (List.assoc_opt "content-type" rheaders)
+            ~default:"text/plain; charset=utf-8"
         in
-        match
-          dispatch_failover t ~scratch ~meth:req.Http.meth ~target ~headers
-            ~body:(Some body)
-        with
-        | Ok (b, (status, rheaders, resp)) ->
-          ignore (Atomic.fetch_and_add b.Backend.proxied 1);
-          observe t ~ep ~status;
-          let content_type =
-            Option.value
-              (List.assoc_opt "content-type" rheaders)
-              ~default:"text/plain; charset=utf-8"
-          in
-          let extra =
-            match List.assoc_opt "retry-after" rheaders with
-            | Some v -> [ ("retry-after", v) ]
-            | None -> []
-          in
-          Http.respond_slab conn ~content_type ~keep_alive:keep ~headers:extra
-            ~status resp;
-          if keep then `Keep else `Close
-        | Error `No_backend ->
-          ignore (Atomic.fetch_and_add t.rtel.shed_no_backend 1);
-          observe t ~ep ~status:503;
-          Http.respond conn ~status:503
-            ~headers:[ ("retry-after", "1") ]
-            ~body:"no healthy backends; retry later\n" ();
-          `Close
-        | Error (`Exhausted ntried) ->
-          observe t ~ep ~status:502;
-          Http.respond conn ~status:502
-            ~body:
-              (Printf.sprintf "all %d healthy backends failed; retry later\n"
-                 ntried)
-            ();
-          `Close
-        | Error (`Bad_gateway (b, msg)) ->
-          observe t ~ep ~status:502;
-          Http.respond conn ~status:502
-            ~body:
-              (Printf.sprintf
-                 "backend %d (127.0.0.1:%d) returned a malformed response: \
-                  %s\n"
-                 b.Backend.index
-                 (Atomic.get b.Backend.port)
-                 msg)
-            ();
-          `Close))
+        let extra =
+          match List.assoc_opt "retry-after" rheaders with
+          | Some v -> [ ("retry-after", v) ]
+          | None -> []
+        in
+        Http.respond_slab conn ~content_type ~keep_alive:keep ~headers:extra
+          ~status resp;
+        (ep, status, `Keep)
+      | Error `No_backend ->
+        ignore (Atomic.fetch_and_add t.rtel.shed_no_backend 1);
+        refuse ~headers:[ ("retry-after", "1") ] 503
+          "no healthy backends; retry later\n"
+      | Error (`Exhausted ntried) ->
+        refuse 502
+          (Printf.sprintf "all %d healthy backends failed; retry later\n" ntried)
+      | Error (`Bad_gateway (b, msg)) ->
+        refuse 502
+          (Printf.sprintf
+             "backend %d (127.0.0.1:%d) returned a malformed response: %s\n"
+             b.Backend.index
+             (Atomic.get b.Backend.port)
+             msg))
 
-let handle t ~scratch conn =
-  match Http.read_request conn with
-  | exception Http.Bad_request msg ->
-    observe t ~ep:ep_other ~status:400;
-    (try Http.respond conn ~status:400 ~body:(msg ^ "\n") ()
-     with Http.Disconnect | Http.Timeout -> ());
-    `Close
-  | exception (Http.Disconnect | Http.Timeout) -> `Close
-  | req ->
-    ignore (Atomic.fetch_and_add t.rtel.in_flight 1);
-    Fun.protect
-      ~finally:(fun () -> ignore (Atomic.fetch_and_add t.rtel.in_flight (-1)))
-      (fun () ->
-        let keep = req.Http.keep_alive && not (Listener.draining t.listener) in
-        let ep = classify req.Http.path in
-        let simple ?headers status body =
-          observe t ~ep ~status;
-          Http.respond conn ?headers ~keep_alive:keep ~status ~body ();
-          if keep then `Keep else `Close
-        in
-        match (req.Http.meth, req.Http.path) with
-        | "GET", "/healthz" ->
-          if Listener.draining t.listener then
-            simple ~headers:[ ("retry-after", "1") ] 503 "draining\n"
-          else begin
-            let healthy = healthy_count t in
-            if healthy > 0 then
-              simple 200
-                (Printf.sprintf "ok %d/%d backends healthy\n" healthy
-                   (Array.length t.backends))
-            else
-              simple
-                ~headers:[ ("retry-after", "1") ]
-                503 "no healthy backends\n"
-          end
-        | "GET", "/metrics" -> simple 200 (metrics_body t)
-        | "GET", "/model" -> simple 200 (model_body t)
-        | "GET", "/admin/backends" -> simple 200 (backends_body t)
-        | "POST", "/admin/rollout" | "POST", "/admin/rollback" ->
-          if Listener.draining t.listener then
-            simple ~headers:[ ("retry-after", "1") ] 503 "draining\n"
-          else begin
-            let status, headers, body =
-              rolling_admin t ~scratch
-                ~back:(req.Http.path = "/admin/rollback")
-                ~query:req.Http.query
-            in
-            simple ~headers status body
-          end
-        | "POST", ("/predict" | "/feedback") -> proxy t conn req ~ep ~keep ~scratch
-        | _, ("/predict" | "/feedback") -> simple 405 "use POST\n"
-        | _, ("/healthz" | "/model" | "/metrics" | "/admin/backends") ->
-          simple 405 "use GET\n"
-        | _, ("/admin/rollout" | "/admin/rollback") -> simple 405 "use POST\n"
-        | _ -> simple 404 "not found\n")
+(* The router's endpoints; the listener runs the rest of each request.
+   Every path answers its one method, anything else with a 405 counted
+   under the path's endpoint. *)
+let route t ~index:_ ~scratch ~keep conn (req : Http.request) =
+  let answer ?(content_type = "text/plain; charset=utf-8") ?headers ep status body =
+    Http.respond conn ~content_type ?headers ~keep_alive:keep ~status ~body ();
+    (ep, status, `Keep)
+  in
+  let json = "application/json; charset=utf-8" in
+  let only meth ep k =
+    if req.Http.meth = meth then k () else answer ep 405 ("use " ^ meth ^ "\n")
+  in
+  let retry = [ ("retry-after", "1") ] in
+  match req.Http.path with
+  | "/healthz" ->
+    only "GET" Telemetry.Healthz (fun () ->
+        if Listener.draining t.listener then
+          answer ~headers:retry Telemetry.Healthz 503 "draining\n"
+        else
+          let healthy = healthy_count t in
+          if healthy > 0 then
+            answer Telemetry.Healthz 200
+              (Printf.sprintf "ok %d/%d backends healthy\n" healthy
+                 (Array.length t.backends))
+          else answer ~headers:retry Telemetry.Healthz 503 "no healthy backends\n")
+  | "/metrics" ->
+    only "GET" Telemetry.Metrics (fun () -> answer Telemetry.Metrics 200 (metrics_body t))
+  | "/model" ->
+    only "GET" Telemetry.Model_info (fun () ->
+        answer ~content_type:json Telemetry.Model_info 200 (model_body t))
+  | "/admin/backends" ->
+    only "GET" Telemetry.Admin (fun () ->
+        answer ~content_type:json Telemetry.Admin 200 (backends_body t))
+  | ("/admin/rollout" | "/admin/rollback") as path ->
+    only "POST" Telemetry.Admin (fun () ->
+        if Listener.draining t.listener then
+          answer ~headers:retry Telemetry.Admin 503 "draining\n"
+        else
+          let status, headers, body =
+            rolling_admin t ~scratch ~back:(path = "/admin/rollback")
+              ~query:req.Http.query
+          in
+          let content_type = if status = 200 then Some json else None in
+          answer ?content_type ~headers Telemetry.Admin status body)
+  | "/predict" ->
+    only "POST" Telemetry.Predict (fun () ->
+        proxy t conn req Telemetry.Predict ~keep ~scratch)
+  | "/feedback" ->
+    only "POST" Telemetry.Feedback (fun () ->
+        proxy t conn req Telemetry.Feedback ~keep ~scratch)
+  | path ->
+    let ep =
+      if String.starts_with ~prefix:"/admin/" path then Telemetry.Admin
+      else Telemetry.Other
+    in
+    answer ep 404 "not found\n"
 
 (* ------------------------------------------------------------------ *)
 (* Backend supervision                                                  *)
@@ -944,10 +865,7 @@ let start ?(config = default_config) () =
   (* Drain order matters: the listener finishes queued and in-flight
      client requests (which may still be proxying) before [after_drain]
      lets the supervisor take the backend fleet down. *)
-  Listener.start listener
-    ~handle:(fun ~index:_ ~scratch conn -> handle t ~scratch conn)
-    ~in_flight:(fun () -> Atomic.get t.rtel.in_flight)
-    ~tick:ignore
+  Listener.start listener ~route:(route t) ~tick:ignore
     ~after_drain:(fun () -> Atomic.set t.stop_backends true);
   t.supervisor <- Some (Domain.spawn (supervisor t));
   Log.info (fun m ->

@@ -18,7 +18,8 @@
     - [GET /admin/backends]: per-shard state dump (JSON).
 
     Client connections are accepted, admitted and drained by a
-    {!Pn_server.Listener}, the same one the daemon uses.
+    {!Pn_server.Listener}, the same one the daemon uses, which also runs
+    each request's lifecycle and records it in the router's telemetry.
 
     Supervision: health probes every [probe_interval] drive the
     per-shard state machine (see {!Backend}); exited shards are reaped

@@ -84,18 +84,18 @@ let bools t k ?(at = 0) n =
   | Bools a -> a
   | _ -> assert false
 
-let bytes t k ?(at = 0) n =
+let bytes t k n =
   match
-    borrow t k at
+    borrow t k 0
       ~fits:(function Bytes b -> Bytes.length b >= n | _ -> false)
       (fun () -> Bytes (Bytes.create n))
   with
   | Bytes b -> b
   | _ -> assert false
 
-let buffer t k ?(at = 0) () =
+let buffer t k =
   match
-    borrow t k at
+    borrow t k 0
       ~fits:(function Buffer _ -> true | _ -> false)
       (fun () -> Buffer (Buffer.create 4096))
   with

@@ -53,11 +53,11 @@ val ints : t -> key -> ?at:int -> int -> int array
 (** [bools t k n] is an array of at least [n] cells. *)
 val bools : t -> key -> ?at:int -> int -> bool array
 
-(** [bytes t k n] is a buffer of at least [n] bytes. *)
-val bytes : t -> key -> ?at:int -> int -> bytes
+(** [bytes t k n] is a buffer of at least [n] bytes, at index 0. *)
+val bytes : t -> key -> int -> bytes
 
-(** [buffer t k] is an empty [Buffer.t]. *)
-val buffer : t -> key -> ?at:int -> unit -> Buffer.t
+(** [buffer t k] is an empty [Buffer.t], at index 0. *)
+val buffer : t -> key -> Buffer.t
 
 (** [retained t] is the bytes [t] holds: the cells of its arrays and
     byte buffers, and the length of each [Buffer.t]'s last contents. *)

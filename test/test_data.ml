@@ -3,7 +3,6 @@
 module A = Pn_data.Attribute
 module D = Pn_data.Dataset
 module V = Pn_data.View
-module B = Pn_data.Builder
 module Csv = Pn_data.Csv_io
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -205,31 +204,6 @@ let test_view_materialize () =
   let m = V.materialize v in
   Alcotest.(check int) "materialized" 3 (D.n_records m);
   Alcotest.(check (array (float 1e-9))) "counts" [| 0.0; 3.0 |] (D.class_counts m)
-
-(* ------------------------------------------------------------------ *)
-(* Builder                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_builder () =
-  let attrs = [| A.numeric "x"; A.categorical "c" [| "a"; "b" |] |] in
-  let b = B.create ~attrs ~classes:[| "no"; "yes" |] in
-  B.add_row b [| B.Fnum 1.5; B.Fcat 1 |] ~label:0;
-  B.add_row b ~weight:2.0 [| B.Fnum 2.5; B.Fcat 0 |] ~label:1;
-  Alcotest.(check int) "length" 2 (B.length b);
-  let ds = B.to_dataset b in
-  Alcotest.(check int) "rows" 2 (D.n_records ds);
-  check_float "cell" 2.5 (D.num_value ds ~col:0 1);
-  Alcotest.(check int) "cat cell" 1 (D.cat_value ds ~col:1 0);
-  check_float "weight kept" 2.0 (D.weight ds 1);
-  Alcotest.(check int) "label" 1 (D.label ds 1)
-
-let test_builder_validation () =
-  let attrs = [| A.numeric "x" |] in
-  let b = B.create ~attrs ~classes:[| "a" |] in
-  let raises f = try f (); Alcotest.fail "expected Invalid_argument" with Invalid_argument _ -> () in
-  raises (fun () -> B.add_row b [| B.Fcat 0 |] ~label:0);
-  raises (fun () -> B.add_row b [| B.Fnum 1.0; B.Fnum 2.0 |] ~label:0);
-  raises (fun () -> B.add_row b [| B.Fnum 1.0 |] ~label:9)
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                  *)
@@ -765,8 +739,6 @@ let suite =
     Alcotest.test_case "view sorted ties/shuffle/dup" `Quick test_sorted_ties_shuffled_view;
     Alcotest.test_case "view stratified split" `Quick test_view_split;
     Alcotest.test_case "view materialize" `Quick test_view_materialize;
-    Alcotest.test_case "builder" `Quick test_builder;
-    Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "csv parse" `Quick test_csv_parse;
     Alcotest.test_case "csv class column" `Quick test_csv_class_column;
     Alcotest.test_case "csv quoting" `Quick test_csv_quoting;

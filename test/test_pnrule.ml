@@ -248,21 +248,21 @@ let test_resolve_header_edge_cases () =
   (* Extra columns are fine and must not disturb the mapping: the
      returned indices point at the right header slots regardless of
      order or junk in between. *)
-  (match M.resolve_header m [| "junk"; "y"; "class"; "x" |] with
+  (match Pnrule.Saved.resolve_header (Pnrule.Saved.Single m) [| "junk"; "y"; "class"; "x" |] with
   | Ok map -> Alcotest.(check (array int)) "mapping" [| 3; 1 |] map
   | Error msg -> Alcotest.failf "extra columns rejected: %s" msg);
-  (match M.resolve_header m [| "x"; "y" |] with
+  (match Pnrule.Saved.resolve_header (Pnrule.Saved.Single m) [| "x"; "y" |] with
   | Ok map -> Alcotest.(check (array int)) "identity" [| 0; 1 |] map
   | Error msg -> Alcotest.failf "exact header rejected: %s" msg);
   (* A duplicated attribute name is ambiguous, not first-wins. *)
-  (match M.resolve_header m [| "x"; "y"; "x" |] with
+  (match Pnrule.Saved.resolve_header (Pnrule.Saved.Single m) [| "x"; "y"; "x" |] with
   | Ok _ -> Alcotest.fail "duplicate column accepted"
   | Error msg ->
     Alcotest.(check bool)
       (Printf.sprintf "duplicate named: %s" msg)
       true (contains msg "x"));
   (* Every mismatch is reported at once, "; "-separated. *)
-  match M.resolve_header m [| "a"; "b" |] with
+  match Pnrule.Saved.resolve_header (Pnrule.Saved.Single m) [| "a"; "b" |] with
   | Ok _ -> Alcotest.fail "alien header accepted"
   | Error msg ->
     Alcotest.(check bool) "mentions x" true (contains msg "x");

@@ -274,12 +274,14 @@ let rendering d policy =
 (* MD5 of [rendering] per decoder and policy, taken from the five
    decoders as they stood before they shared one row store. A digest
    changes only with a rule of DESIGN.md's "Error policy" table, and
-   CHANGES.md names the case and the rule. *)
+   CHANGES.md names the case and the rule: "csv load, impute" changed
+   once, in its "z all missing" case, when a CSV column with no present
+   value became numeric. *)
 let golden =
   [
     (("csv load", R.Strict), "a4faa6822c2f55326037d4a68ad1103a");
     (("csv load", R.Skip), "98350eeb3d3ebdff5da99074823c9e2f");
-    (("csv load", R.Impute), "3901a3a9a7232e8ea0588f6d433a1fae");
+    (("csv load", R.Impute), "50d68728e537da6c203347d4ca0ee657");
     (("arff load", R.Strict), "aa290b023a3ed3fec44703bb549a6e7e");
     (("arff load", R.Skip), "984f23ab501b343d385594e756a51ee3");
     (("arff load", R.Impute), "b5ae15ea2df59938a5b0575eb60a2e16");
@@ -442,9 +444,35 @@ let prop_csv_and_pnc_agree =
       Sys.remove path;
       agree)
 
+(* A CSV column with no present value loads as numeric, like the same
+   column of a .pnc file: under Impute both fill it with 0.0. *)
+let test_all_missing_column () =
+  let rows =
+    [
+      [| Num 0.25; Num 0.5; Word "a"; Q; Word "neg" |];
+      [| Num 0.5; Num 0.75; Word "b"; Empty; Word "pos" |];
+      [| Num 0.75; Q; Word "c"; Q; Word "neg" |];
+      [| Num 1.0; Num 0.25; Word "u"; Empty; Word "pos" |];
+    ]
+  in
+  let csv, csv_report = Pn_data.Csv_io.parse_string_with_report ~policy:R.Impute (csv_of rows) in
+  let path = Filename.temp_file "pnrule_rows" ".pnc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (pnc_in_csv_order ~group_size:4 rows));
+      let pnc, pnc_report = C.load_with_report ~policy:R.Impute path in
+      Alcotest.(check bool) "z is numeric" true (A.is_numeric csv.D.attrs.(3));
+      Alcotest.(check (float 0.0)) "z is filled with 0.0" 0.0 (D.num_value csv ~col:3 1);
+      Alcotest.(check bool) "the CSV and .pnc loads are equal" true (D.equal csv pnc);
+      Alcotest.(check bool) "and so are their reports" true (same_report csv_report pnc_report))
+
 let suite =
   List.concat_map (fun d -> List.map (golden_case d) policies) decoders
   @ [
       Alcotest.test_case "impute: the median leaves NaN out" `Quick test_arff_median_skips_nan;
       QCheck_alcotest.to_alcotest prop_csv_and_pnc_agree;
+      Alcotest.test_case "a CSV column with no present value is numeric" `Quick
+        test_all_missing_column;
     ]

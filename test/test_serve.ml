@@ -104,6 +104,26 @@ let test_warm_pnc_request () =
     true
     (held <= Pn_util.Scratch.retain_limit)
 
+(* A string source reads its string in place: decoding a 2048-row .pnc
+   string with a warm scratch measures about 350 words, none on the
+   major heap, where a copy of the string took 6.8K words, 6.4K of them
+   on the major heap. *)
+let test_string_source_in_place () =
+  let body = pnc_body ~seed:88 ~rows:2048 () in
+  let scratch = Pn_util.Scratch.create () in
+  let decode () =
+    let r = Pn_data.Columnar.open_reader ~scratch (Pn_data.Stream.of_string body) in
+    let rec rows n =
+      match Pn_data.Columnar.read_group r with Some k -> rows (n + k) | None -> n
+    in
+    rows 0
+  in
+  Alcotest.(check int) "every row decoded" 2048 (decode ());
+  let a = Test_ensemble.allocation decode in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm decode of a 2048-row .pnc string: %.0f words <= 1000" a.words)
+    true (a.words <= 1000.0)
+
 (* A warmed worker's CSV request stays off the major heap as well: its
    column stores and labels come from the scratch like the .pnc
    path's group buffers. It measures at most 1.5K major-heap words
@@ -236,6 +256,8 @@ let suite =
     Alcotest.test_case "CSV requests allocate by rows" `Quick test_allocates_by_rows;
     Alcotest.test_case "a warmed worker's .pnc request stays off the major heap" `Quick
       test_warm_pnc_request;
+    Alcotest.test_case "a string source is read in place" `Quick
+      test_string_source_in_place;
     Alcotest.test_case "a warmed worker's CSV request stays off the major heap" `Quick
       test_warm_csv_request;
     Alcotest.test_case "a warmed worker stays off the major heap across row counts"

@@ -120,6 +120,12 @@ module Client = struct
     in
     (status, hs, body)
 
+  (* True when the server closed the connection with nothing more to
+     read; a connection left open fails the read after 10 s. *)
+  let at_eof t =
+    Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO 10.0;
+    t.pos >= t.len && Unix.read t.fd t.buf 0 (Bytes.length t.buf) = 0
+
   let request t ~meth ~path ?(headers = []) ?body () =
     let b = Buffer.create 256 in
     Printf.bprintf b "%s %s HTTP/1.1\r\nhost: test\r\n" meth path;
@@ -139,6 +145,30 @@ let one_shot port ~meth ~path ?headers ?body () =
   Fun.protect
     ~finally:(fun () -> Client.close c)
     (fun () -> Client.request c ~meth ~path ?headers ?body ())
+
+(* A keep-alive request whose body is itself a complete request, on a
+   route that does not read bodies: exactly one answer, which says
+   [connection: close], then EOF — the body is never parsed as a second
+   request. Returns the answer's status, headers and body. *)
+let one_answer_then_eof port ~meth ~path =
+  let smuggled = "GET /nope-smuggled HTTP/1.1\r\nhost: test\r\n\r\n" in
+  let label = meth ^ " " ^ path in
+  let c = Client.connect port in
+  Fun.protect
+    ~finally:(fun () -> Client.close c)
+    (fun () ->
+      Client.send c
+        (Printf.sprintf
+           "%s %s HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\n\
+            content-length: %d\r\n\r\n%s"
+           meth path (String.length smuggled) smuggled);
+      let (_, hs, _) as answer = Client.read_response c in
+      Alcotest.(check (option string))
+        (label ^ ": answer closes") (Some "close")
+        (List.assoc_opt "connection" hs);
+      Alcotest.(check bool) (label ^ ": then EOF, no second answer") true
+        (Client.at_eof c);
+      answer)
 
 let metric_value text name =
   let prefix = name ^ " " in
@@ -909,6 +939,37 @@ let test_malformed_responses () =
     Alcotest.failf "truncated body parsed as %d-byte response"
       (String.length r.Http.body)
 
+(* A successful rollout and rollback, each with a body no admin route
+   reads: one answer per connection, and the flips still happen. *)
+let test_bodied_admin_closes () =
+  let model, _, _, _ = Lazy.force fixture in
+  let dir = Filename.temp_file "pnrule_srv_reg" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let reg = Pnrule.Registry.open_dir dir in
+  ignore (Pnrule.Registry.publish reg model);
+  let srv = Server.start ~source:(Pn_server.Handler.Registry reg) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let port = Server.port srv in
+      ignore (Pnrule.Registry.publish reg model);
+      List.iter
+        (fun (path, gen) ->
+          let s, _, b = one_answer_then_eof port ~meth:"POST" ~path in
+          Alcotest.(check int) (path ^ " status") 200 s;
+          Alcotest.(check bool) (path ^ " names the generation") true
+            (contains b (Printf.sprintf "\"generation\": %d" gen));
+          Alcotest.(check int) (path ^ " flipped") gen (Server.generation srv))
+        [ ("/admin/rollout", 2); ("/admin/rollback", 1) ];
+      let _, _, m = one_shot port ~meth:"GET" ~path:"/metrics" () in
+      Alcotest.(check (float 0.0))
+        "no smuggled request reached a route" 0.0
+        (metric_value m "pnrule_requests_total{endpoint=\"other\"}"))
+
 let suite =
   [
     Alcotest.test_case "e2e: 1 worker domain" `Quick (run_e2e ~domains:1);
@@ -932,6 +993,8 @@ let suite =
       test_header_budget_boundary;
     Alcotest.test_case "malformed responses raise, never hang" `Quick
       test_malformed_responses;
+    Alcotest.test_case "a bodied admin request gets one answer and closes" `Quick
+      test_bodied_admin_closes;
     Alcotest.test_case "columnar row limit is checked from the header" `Quick
       test_columnar_header_row_limit;
   ]

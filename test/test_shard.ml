@@ -672,6 +672,44 @@ let test_reuse_never_leaks () =
       Alcotest.(check bool) (name ^ " after the killed leg is byte-identical") true
         (String.equal want got))
 
+(* ------------------------------------------------------------------ *)
+(* One answer per request: a body no route reads closes the connection *)
+(* ------------------------------------------------------------------ *)
+
+(* A bodied GET /healthz, PUT /predict and POST /admin/rollout each get
+   one answer and EOF, never a second answer to the request in the body;
+   the rollout still rolls. The router's JSON answers say JSON. *)
+let test_bodies_no_route_reads () =
+  with_router ~backends:1 (fun t reg ->
+      let port = Router.port t in
+      let s, _, _ = Test_server.one_answer_then_eof port ~meth:"GET" ~path:"/healthz" in
+      Alcotest.(check int) "bodied healthz" 200 s;
+      let s, _, _ = Test_server.one_answer_then_eof port ~meth:"PUT" ~path:"/predict" in
+      Alcotest.(check int) "bodied PUT /predict" 405 s;
+      let model, _, _, _ = Lazy.force Test_server.fixture in
+      Alcotest.(check int) "second generation" 2 (R.publish reg model);
+      let json what hs =
+        Alcotest.(check (option string)) (what ^ " content type")
+          (Some "application/json; charset=utf-8")
+          (List.assoc_opt "content-type" hs)
+      in
+      let s, hs, b =
+        Test_server.one_answer_then_eof port ~meth:"POST" ~path:"/admin/rollout"
+      in
+      Alcotest.(check int) "bodied rollout" 200 s;
+      json "rollout" hs;
+      Alcotest.(check bool) "rollout reached generation 2" true
+        (contains b "\"generation\": 2");
+      List.iter
+        (fun path ->
+          let s, hs, _ = Test_server.one_shot port ~meth:"GET" ~path () in
+          Alcotest.(check int) (path ^ " status") 200 s;
+          json path hs)
+        [ "/model"; "/admin/backends" ];
+      Alcotest.(check (float 0.0))
+        "no smuggled request reached a route" 0.0
+        (metric (scrape t) "pnrule_router_requests_total{endpoint=\"other\"}"))
+
 let suite =
   [
     Alcotest.test_case "sharded e2e: bytes, merged metrics, rolling rollout"
@@ -688,4 +726,6 @@ let suite =
       test_router_admission;
     Alcotest.test_case "worker reuse never leaks between requests" `Quick
       test_reuse_never_leaks;
+    Alcotest.test_case "a body no route reads is never a second request" `Quick
+      test_bodies_no_route_reads;
   ]

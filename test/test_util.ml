@@ -357,25 +357,26 @@ let test_scratch_reuse () =
   Alcotest.(check bool) "ints reuse" true (S.ints t k ~at:2 3 == i);
   let m = S.bools t k ~at:3 10 in
   Alcotest.(check bool) "bools reuse" true (S.bools t k ~at:3 10 == m);
-  let y = S.bytes t k ~at:4 64 in
-  Alcotest.(check bool) "bytes reuse" true (S.bytes t k ~at:4 10 == y);
-  let buf = S.buffer t k ~at:5 () in
+  let kb = S.key () and kbuf = S.key () in
+  let y = S.bytes t kb 64 in
+  Alcotest.(check bool) "bytes reuse" true (S.bytes t kb 10 == y);
+  let buf = S.buffer t kbuf in
   Buffer.add_string buf "left over";
-  Alcotest.(check int) "buffer emptied" 0 (Buffer.length (S.buffer t k ~at:5 ()))
+  Alcotest.(check int) "buffer emptied" 0 (Buffer.length (S.buffer t kbuf))
 
 (* Scratch: [trim] drops the largest buffers until the total is within
    the limit, and keeps the rest. *)
 let test_scratch_trim () =
   let module S = Pn_util.Scratch in
-  let t = S.create () and k = S.key () in
-  let small = S.bytes t k ~at:0 1000 in
-  let big = S.bytes t k ~at:1 S.retain_limit in
-  let bigger = S.bytes t k ~at:2 (S.retain_limit + 1) in
+  let t = S.create () and k = S.key () and k1 = S.key () and k2 = S.key () in
+  let small = S.bytes t k 1000 in
+  let big = S.bytes t k1 S.retain_limit in
+  let bigger = S.bytes t k2 (S.retain_limit + 1) in
   S.trim t;
   Alcotest.(check int) "both big ones dropped" 1000 (S.retained t);
-  Alcotest.(check bool) "small kept" true (S.bytes t k ~at:0 1000 == small);
-  Alcotest.(check bool) "big dropped" false (S.bytes t k ~at:1 1000 == big);
-  Alcotest.(check bool) "bigger dropped" false (S.bytes t k ~at:2 1000 == bigger);
+  Alcotest.(check bool) "small kept" true (S.bytes t k 1000 == small);
+  Alcotest.(check bool) "big dropped" false (S.bytes t k1 1000 == big);
+  Alcotest.(check bool) "bigger dropped" false (S.bytes t k2 1000 == bigger);
   let t = S.create () in
   let half = S.floats t k (S.retain_limit / 16) in
   let other = S.ints t k ~at:1 (S.retain_limit / 16) in
