@@ -13,7 +13,22 @@ type t = {
   members : member array;
   bias : float;
   threshold : float;
+  program : Pn_rules.Compiled.t;
 }
+
+(* Every member becomes a one-rule list of a single compiled program,
+   built once per ensemble: conditions shared between members compile
+   once, and each member's coverage comes out as a bitset. *)
+let make ~target ~classes ~attrs ~members ~bias ~threshold =
+  {
+    target;
+    classes;
+    attrs;
+    members;
+    bias;
+    threshold;
+    program = Pn_rules.Compiled.compile (Array.map (fun m -> [| m.rule |]) members);
+  }
 
 type params = {
   rounds : int;
@@ -152,32 +167,20 @@ let train ?(params = default_params) ?(sampling = Pn_induct.Sampling.none) ds
   Log.info (fun m ->
       m "boosted ensemble: %d members from %d rounds (bias %.3f)"
         (Array.length members) params.rounds bias);
-  {
-    target;
-    classes = ds.Pn_data.Dataset.classes;
-    attrs = ds.Pn_data.Dataset.attrs;
-    members;
-    bias;
-    threshold = params.threshold;
-  }
+  make ~target ~classes:ds.Pn_data.Dataset.classes ~attrs:ds.Pn_data.Dataset.attrs
+    ~members ~bias ~threshold:params.threshold
 
 (* ------------------------------------------------------------------ *)
 (* Scoring                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every member becomes a one-rule list of a single compiled program:
-   conditions shared between members evaluate once, and each member's
-   coverage resolves word-at-a-time into a bitset. The vote then walks
-   each member's set bits. *)
-let compiled t =
-  Pn_rules.Compiled.compile (Array.map (fun m -> [| m.rule |]) t.members)
-
 (* Raw per-member coverage: one bitset per member, [||] for the empty
    ensemble. Exposed so the serving path can derive scores AND per-rule
-   firing counts from a single eval. *)
+   firing counts from a single eval. The vote then walks each member's
+   set bits. *)
 let eval_matches ?pool ?scratch t ds =
   if Array.length t.members = 0 then [||]
-  else Pn_rules.Compiled.cover ?pool ?scratch (compiled t) ds
+  else Pn_rules.Compiled.cover ?pool ?scratch t.program ds
 
 (* One member at a time, in member order, adding its weight to every
    record it covers: each record's score is the same float sum, in the

@@ -10,23 +10,38 @@
     default-rule confidence — strongly negative for a rare target
     class) plus the weights of the member rules covering it.
 
-    Serving compiles the members into the bitset engine — one
-    single-rule list per member, conditions deduplicated across
-    members, coverage resolved word-at-a-time into one bitset per
-    member — so the weighted vote costs an add per covered record per
-    member, never a per-record interpretive rule walk, and a request
-    allocates [n/63] words per member rather than [n]. *)
+    Serving scores with the ensemble's compiled program
+    ({!Pn_rules.Compiled}), built once by {!make}: one single-rule list
+    per member, each member's coverage walked from the column whose
+    interval holds the fewest records into one bitset per member — so
+    the weighted vote costs an add per covered record per member, never
+    a per-record interpretive rule walk, and a request allocates [n/63]
+    words per member rather than [n]. *)
 
 type member = { rule : Pn_rules.Rule.t; weight : float }
 
-type t = {
+type t = private {
   target : int;
   classes : string array;
   attrs : Pn_data.Attribute.t array;
   members : member array;
   bias : float;  (** default-rule confidence, added to every score *)
   threshold : float;  (** predict the target class when score exceeds it *)
+  program : Pn_rules.Compiled.t;
+      (** one single-rule list per member, compiled once by {!make} *)
 }
+
+(** [make ~target ~classes ~attrs ~members ~bias ~threshold] is the
+    ensemble with its compiled program. Ensembles are built only here,
+    so an ensemble's program always matches its members. *)
+val make :
+  target:int ->
+  classes:string array ->
+  attrs:Pn_data.Attribute.t array ->
+  members:member array ->
+  bias:float ->
+  threshold:float ->
+  t
 
 type params = {
   rounds : int;  (** boosting rounds; degenerate rounds add no member *)
@@ -81,8 +96,8 @@ val scores_of_matches :
   ?scratch:Pn_util.Scratch.t -> t -> n:int -> Pn_util.Bitset.t array -> float array
 
 (** [score_all ?pool t ds] is each record's ensemble score
-    (bias + Σ covering member weights), resolved through one compiled
-    bitset program over all members. *)
+    (bias + Σ covering member weights), resolved through the ensemble's
+    compiled program over all members. *)
 val score_all : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> float array
 
 val predict_all : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> bool array

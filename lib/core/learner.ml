@@ -335,15 +335,8 @@ let train_with_stats ?(params = Params.default)
     else build_scores ~params view ~target ~p_rules ~n_rules
   in
   let model =
-    {
-      Model.target;
-      classes = ds.Pn_data.Dataset.classes;
-      attrs = ds.Pn_data.Dataset.attrs;
-      p_rules;
-      n_rules;
-      scores;
-      params;
-    }
+    Model.make ~target ~classes:ds.Pn_data.Dataset.classes
+      ~attrs:ds.Pn_data.Dataset.attrs ~p_rules ~n_rules ~scores ~params
   in
   let stats =
     {

@@ -6,7 +6,22 @@ type t = {
   n_rules : Pn_rules.Rule_list.t;
   scores : float array array;
   params : Params.t;
+  program : Pn_rules.Compiled.t;
 }
+
+let make ~target ~classes ~attrs ~p_rules ~n_rules ~scores ~params =
+  {
+    target;
+    classes;
+    attrs;
+    p_rules;
+    n_rules;
+    scores;
+    params;
+    program =
+      Pn_rules.Compiled.compile
+        [| p_rules.Pn_rules.Rule_list.rules; n_rules.Pn_rules.Rule_list.rules |];
+  }
 
 let score t ds i =
   match Pn_rules.Rule_list.first_match ds t.p_rules i with
@@ -25,19 +40,15 @@ let predict t ds i =
     Pn_rules.Rule_list.any_match ds t.p_rules i
     && not (Pn_rules.Rule_list.any_match ds t.n_rules i)
 
-(* Batch serving goes through the compiled bitset engine: one program
-   over both rule lists (conditions deduplicated across P and N),
-   first-match arrays resolved in columnar word passes, then the same
-   ScoreMatrix lookup as the per-record reference above — which stays
-   the oracle the equivalence tests compare against. *)
-
-let compiled t =
-  Pn_rules.Compiled.compile
-    [| t.p_rules.Pn_rules.Rule_list.rules; t.n_rules.Pn_rules.Rule_list.rules |]
+(* Batch serving goes through the compiled engine: the model's program
+   over both rule lists, built once by [make], yields first-match
+   arrays, then the same ScoreMatrix lookup as the per-record reference
+   above — which stays the oracle the equivalence tests compare
+   against. *)
 
 (* (first P-rule, first N-rule) per record, -1 for no match. *)
 let first_matches ?pool ?scratch t ds =
-  let fm = Pn_rules.Compiled.eval ?pool ?scratch (compiled t) ds in
+  let fm = Pn_rules.Compiled.eval ?pool ?scratch t.program ds in
   (fm.(0), fm.(1))
 
 let score_of_matches t ~p ~n =

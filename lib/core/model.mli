@@ -6,7 +6,7 @@
     return ScoreMatrix[first P-rule, first N-rule], where "no N-rule
     applies" is the implicit default last N-rule. *)
 
-type t = {
+type t = private {
   target : int;  (** index of the target class in [classes] *)
   classes : string array;
   attrs : Pn_data.Attribute.t array;
@@ -16,7 +16,23 @@ type t = {
       (** nP rows × (nN + 1) columns; the last column is the default
           "no N-rule applied" entry *)
   params : Params.t;
+  program : Pn_rules.Compiled.t;
+      (** both lists compiled once, P then N, by {!make}: what every
+          batch call scores with *)
 }
+
+(** [make ~target ~classes ~attrs ~p_rules ~n_rules ~scores ~params]
+    is the model with its compiled program. Models are built only
+    here, so a model's program always matches its rules. *)
+val make :
+  target:int ->
+  classes:string array ->
+  attrs:Pn_data.Attribute.t array ->
+  p_rules:Pn_rules.Rule_list.t ->
+  n_rules:Pn_rules.Rule_list.t ->
+  scores:float array array ->
+  params:Params.t ->
+  t
 
 (** [score t ds i] is the model's probability-like score ∈ [0,1] that
     record [i] of [ds] belongs to the target class. Per-record
@@ -31,7 +47,8 @@ val predict : t -> Pn_data.Dataset.t -> int -> bool
 
 (** [first_matches t ds] is the compiled batch engine's raw output: the
     first matching P-rule and N-rule index per record, [-1] for no
-    match. One {!Pn_rules.Compiled.eval} pass; {!score_all} and
+    match. One {!Pn_rules.Compiled.eval} pass of the model's program,
+    which is not rebuilt per call; {!score_all} and
     {!predict_all} are lookups over it, and the serving path reuses the
     P-side as its per-rule drift signal. With [scratch] both arrays
     are borrowed from it and may be longer than the dataset
@@ -50,9 +67,9 @@ val first_matches :
 val score_of_matches : t -> p:int -> n:int -> float
 
 (** [predict_all t ds] is the per-record prediction vector, served by the
-    compiled bitset engine ({!Pn_rules.Compiled}): conditions are
-    deduplicated across the P- and N-lists and evaluated columnar-style,
-    with record chunks fanned across [pool] (default
+    compiled engine ({!Pn_rules.Compiled}): each rule is walked from the
+    column whose interval holds the fewest records, with columns and
+    rule lists fanned across [pool] (default
     {!Pn_util.Pool.get_default}). Bit-identical to mapping {!predict} at
     every pool size. *)
 val predict_all : ?pool:Pn_util.Pool.t -> t -> Pn_data.Dataset.t -> bool array

@@ -45,10 +45,10 @@ let predict t ds i =
   !best_cls
 
 (* Batch one-vs-rest prediction: every per-class model's P- and N-lists
-   compile into ONE bitset program, so a condition shared across class
-   models (attack signatures frequently share service/protocol tests)
-   is evaluated once per record for the whole ensemble. The per-record
-   [predict] above stays the oracle. *)
+   compile into ONE program, so a column tested across class models
+   (attack signatures frequently share service/protocol tests) is keyed
+   once per record for the whole ensemble. The per-record [predict]
+   above stays the oracle. *)
 let predict_all ?pool t ds =
   let lists =
     Array.concat

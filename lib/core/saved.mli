@@ -2,7 +2,7 @@
     ({!Model.t}) or a boosted ensemble ({!Ensemble.t}), the two kinds
     {!Serialize} reads and writes. The serving stack — {!Serve}, the
     daemon, the CLI — is written against this type, so every model kind
-    rides the same streaming pipeline and the same compiled bitset
+    rides the same streaming pipeline and the same compiled rule-box
     scoring. *)
 
 type t = Single of Model.t | Boosted of Ensemble.t

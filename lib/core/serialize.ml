@@ -303,15 +303,8 @@ let read_single st =
   if rows <> Pn_rules.Rule_list.length p_rules then
     fail "score matrix height %d does not match %d P-rules" rows
       (Pn_rules.Rule_list.length p_rules);
-  {
-    Model.target;
-    classes;
-    attrs;
-    p_rules;
-    n_rules;
-    scores;
-    params = { Params.default with score_threshold; use_scoring };
-  }
+  Model.make ~target ~classes ~attrs ~p_rules ~n_rules ~scores
+    ~params:{ Params.default with score_threshold; use_scoring }
 
 let read_boosted st =
   let target, classes, attrs = read_schema st in
@@ -328,7 +321,7 @@ let read_boosted st =
         let rule = read_conditions st attrs in
         { Ensemble.rule; weight })
   in
-  { Ensemble.target; classes; attrs; members; bias; threshold }
+  Ensemble.make ~target ~classes ~attrs ~members ~bias ~threshold
 
 let read_expectations st ~monitored =
   expect st "expectations";

@@ -54,7 +54,9 @@ let make_emitter ?pool ?observe ~scratch ~scores ~(model : Saved.t) ~write () =
   let confusion = ref Pn_metrics.Confusion.zero in
   let target = Saved.target model in
   let target_name = (Saved.classes model).(target) in
-  let negative_name = "not-" ^ target_name in
+  (* Both names as CSV fields, escaped once per emitter, not per row. *)
+  let target_field = Pn_data.Csv_io.escape target_name in
+  let negative_field = Pn_data.Csv_io.escape ("not-" ^ target_name) in
   let em_header () =
     write (if scores then "prediction,score\n" else "prediction\n")
   in
@@ -83,13 +85,12 @@ let make_emitter ?pool ?observe ~scratch ~scores ~(model : Saved.t) ~write () =
     let { Pn_metrics.Confusion.tp; fp; fn; tn } = !confusion in
     let tp = ref tp and fp = ref fp and fn = ref fn and tn = ref tn in
     for i = 0 to n - 1 do
-      let name = if predicted.(i) then target_name else negative_name in
+      Buffer.add_string outbuf (if predicted.(i) then target_field else negative_field);
       (match score_v with
       | Some s ->
-        Buffer.add_string outbuf (Pn_data.Csv_io.escape name);
         Buffer.add_char outbuf ',';
         Buffer.add_string outbuf (Printf.sprintf "%.6g" s.(i))
-      | None -> Buffer.add_string outbuf (Pn_data.Csv_io.escape name));
+      | None -> ());
       Buffer.add_char outbuf '\n';
       incr rows_out;
       let a = actuals.(i) in

@@ -3,7 +3,7 @@
     [predict_csv] pulls a CSV feed through the {!Pn_data.Stream} decoder
     in fixed-size chunks, validates each chunk against the saved model's
     schema ({!Saved.resolve_header} on the header, per-cell kind checks on
-    the rows), scores it through the compiled bitset engine and streams a
+    the rows), scores it through the compiled rule engine and streams a
     predictions CSV out — the full dataset is never materialized, so
     resident memory is bounded by the chunk size, not the feed. The
     pipeline is written against {!Saved.t}, so a boosted ensemble serves

@@ -1,112 +1,95 @@
-(* Compiled bitset engine: dedup conditions, evaluate each with one
-   columnar sweep into a bitset, then resolve first-match or coverage
-   word-at-a-time.
+(* Compiled rule-box engine: every rule becomes one key interval per
+   column it tests, compiled once per program; a request computes each
+   tested column's keys and key counts, then walks each rule from the
+   column whose interval holds the fewest records.
    See compiled.mli for the contract; the per-record reference path in
    Rule_list/Condition is the oracle this must match bit-for-bit. *)
 
 module Bitset = Pn_util.Bitset
 module Dataset = Pn_data.Dataset
+module Scratch = Pn_util.Scratch
+
+(* ------------------------------------------------------------------ *)
+(* The program                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A column some condition tests. A numeric column's key is its
+   threshold-ladder rank. [cuts] are the distinct non-nan thresholds of
+   the column's conditions, ascending; a value [v] gets rank
+   [2 * #(cuts < v)], plus 1 when [v] equals a cut, so rank [2j+1] is
+   exactly [v = cuts.(j)], the even ranks are the open gaps around the
+   cuts, and a nan value gets the last rank, [2k+1]. Then:
+   - [v <= c_j] iff [r <= 2j+1];
+   - [v >= c_j] iff [2j+1 <= r <= 2k];
+   - [c_a <= v <= c_b] iff [2a+1 <= r <= 2b+1].
+   The cuts compare with (<), (=) and dedup under Float.compare, which
+   agree with the reference's (<=)/(>=) on every non-nan float, ±0.0
+   and ±inf included.
+   The bucket table turns the rank search into a lookup: [n_buckets]
+   equal-width buckets over [c_0, c_{k-1}], the bucket of [v] being
+   [clamp (floor ((v - base) * scale))], and [first.(b)] the number of
+   cuts in buckets below [b]. The bucket function is monotone in [v],
+   so every cut in a lower bucket is [< v] and every cut in a higher
+   one is [> v]: [#(cuts < v)] is [first.(b)] plus a binary search
+   over bucket [b]'s own cuts, usually none or one. A span of 0 or one
+   that is not finite gets a single bucket, which is the plain binary
+   search. A categorical column's key is the code itself. *)
+type column = {
+  col : int;
+  cat : bool;  (* some condition on it is a [Cat_eq] *)
+  num : bool;  (* some condition on it is numeric *)
+  cuts : float array;
+  base : float;
+  scale : float;
+  n_buckets : int;
+  first : int array;  (* [n_buckets + 1] cells, [first.(n_buckets) = k] *)
+}
+
+(* A rule as a box: an inclusive key interval on each column it tests,
+   columns in ascending program order. [empty] when some interval is
+   empty (an inverted range, two codes, a nan threshold): the rule
+   matches nothing. A rule with no columns and not [empty] matches
+   every record. [slot] numbers its first interval among all the
+   program's, [id] the rule among all the program's rules. *)
+type rule = {
+  cols : int array;
+  klo : int array;
+  khi : int array;
+  empty : bool;
+  slot : int;
+  id : int;
+}
 
 type t = {
   conditions : Condition.t array;  (* deduplicated, in first-seen order *)
-  lists : int array array array;  (* list -> rule -> condition ids *)
+  columns : column array;
+  lists : rule array array;
+  n_slots : int;
+  n_rules : int;
 }
-
-let compile lists =
-  let tbl = Hashtbl.create 64 in
-  let rev_conds = ref [] in
-  let n_conds = ref 0 in
-  let id_of c =
-    match Hashtbl.find_opt tbl c with
-    | Some id -> id
-    | None ->
-      let id = !n_conds in
-      incr n_conds;
-      rev_conds := c :: !rev_conds;
-      Hashtbl.add tbl c id;
-      id
-  in
-  let lists =
-    Array.map
-      (Array.map (fun r -> Array.of_list (List.map id_of r.Rule.conditions)))
-      lists
-  in
-  { conditions = Array.of_list (List.rev !rev_conds); lists }
 
 let n_lists t = Array.length t.lists
 
 let n_distinct_conditions t = Array.length t.conditions
 
-(* ------------------------------------------------------------------ *)
-(* Per-dataset condition preparation                                    *)
-(* ------------------------------------------------------------------ *)
+let bucket_count = 1024
 
-(* A condition bound to the dataset's raw columns: a categorical test
-   sweeps the code column; a numeric test is a half-open interval of
-   some record order — the sort cache's when a training pass already
-   built it, else the column's threshold ladder — so its bitset is
-   filled by walking only the order positions inside the interval. *)
-type prep =
-  | P_cat of int array * int
-  | P_interval of int array * int * int
-      (* (order, lo, hi): the matching records are order.(lo..hi-1) *)
-
-(* First position p in the sorted order whose value satisfies [pred];
-   [pred] must be monotone (false then true) along the order, which
-   Float.compare-based predicates are, nans included. *)
-let lower_bound order values pred =
-  let lo = ref 0 and hi = ref (Array.length order) in
+(* [#(cuts.(lo..hi-1) < v)] plus [lo], for a non-nan [v]. *)
+let[@inline] search (cuts : float array) (v : float) lo hi =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if pred values.(Array.unsafe_get order mid) then hi := mid else lo := mid + 1
+    if Array.unsafe_get cuts mid < v then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let num_column ds col =
-  match ds.Dataset.columns.(col) with
-  | Dataset.Num values -> values
-  | Dataset.Cat _ ->
-    invalid_arg "Compiled.eval: numeric condition on categorical column"
-
-(* Translate a numeric test into a rank interval over the cached sorted
-   order. Float.compare agrees with (<=)/(>=) on everything except
-   nans, which it sorts first; the lower cut excludes them so the
-   interval matches the reference semantics (a nan value satisfies no
-   threshold, a nan threshold is satisfied by no value). *)
-let rank_prep entry values cond =
-  let order = entry.Pn_data.Sort_cache.order in
-  let n = Array.length order in
-  let count_le thr = lower_bound order values (fun v -> Float.compare v thr > 0) in
-  let count_lt thr = lower_bound order values (fun v -> Float.compare v thr >= 0) in
-  let n_nan = lower_bound order values (fun v -> not (Float.is_nan v)) in
-  match cond with
-  | Condition.Num_le { threshold; _ } ->
-    if Float.is_nan threshold then P_interval (order, 0, 0)
-    else P_interval (order, n_nan, count_le threshold)
-  | Condition.Num_ge { threshold; _ } ->
-    if Float.is_nan threshold then P_interval (order, 0, 0)
-    else P_interval (order, count_lt threshold, n)
-  | Condition.Num_range { lo; hi; _ } ->
-    if Float.is_nan lo || Float.is_nan hi then P_interval (order, 0, 0)
-    else P_interval (order, max n_nan (count_lt lo), count_le hi)
-  | Condition.Cat_eq _ -> assert false
-
-(* A numeric column's threshold ladder, for a dataset with no sort-cache
-   entry on it (every serving request). [cuts] are the distinct non-nan
-   thresholds of the column's conditions, ascending. Record [i] with
-   value [v] gets rank [2 * #(cuts < v)], plus 1 when [v] equals a cut:
-   rank [2j+1] is exactly [v = cuts.(j)], the even ranks are the open
-   gaps around the cuts, and a nan value gets the last rank, [2k+1].
-   [order] lists the records by rank, and [starts.(r)] is the first
-   position of rank [r] in it ([starts.(2k+2) = n]). So:
-   - [v <= c_j] iff [r <= 2j+1];
-   - [v >= c_j] iff [2j+1 <= r <= 2k];
-   - [c_a <= v <= c_b] iff [2a+1 <= r <= 2b+1];
-   each an interval of [order], filled by the same scatter as a
-   sort-cache interval. The cuts compare with (<), (=) and dedup under
-   Float.compare, which agree with the reference's (<=)/(>=) on every
-   non-nan float, ±0.0 and ±inf included. *)
-type ladder = { cuts : float array; order : int array; starts : int array }
+(* Bucket of a non-nan [v]. With one bucket every value lands in it,
+   whatever [scale] makes of it (nan included). *)
+let[@inline] bucket ~base ~scale ~n_buckets (v : float) =
+  let x = (v -. base) *. scale in
+  if not (x >= 1.0) then 0
+  else if x >= Float.of_int n_buckets then n_buckets - 1
+  else int_of_float x
 
 let cuts_of thresholds =
   let a = Array.of_list (List.filter (fun x -> not (Float.is_nan x)) thresholds) in
@@ -121,332 +104,423 @@ let cuts_of thresholds =
     a;
   Array.sub a 0 !k
 
-(* [#(cuts < v)] for a non-nan [v]. Inlined, so a caller's [v] is never
-   boxed to make the call. *)
-let[@inline] count_below (cuts : float array) (v : float) =
-  let lo = ref 0 and hi = ref (Array.length cuts) in
+let make_column ~col ~cat ~num thresholds =
+  let cuts = cuts_of thresholds in
+  let k = Array.length cuts in
+  let span = if k = 0 then 0.0 else cuts.(k - 1) -. cuts.(0) in
+  let scale = Float.of_int bucket_count /. span in
+  let n_buckets =
+    if span > 0.0 && Float.is_finite span && Float.is_finite scale then bucket_count
+    else 1
+  in
+  let base = if k = 0 then 0.0 else cuts.(0) in
+  let first = Array.make (n_buckets + 1) k in
+  let j = ref 0 in
+  for b = 0 to n_buckets do
+    while !j < k && bucket ~base ~scale ~n_buckets cuts.(!j) < b do
+      incr j
+    done;
+    first.(b) <- !j
+  done;
+  { col; cat; num; cuts; base; scale; n_buckets; first }
+
+(* A value's ladder rank on a numeric column. *)
+let[@inline] rank c (v : float) =
+  let k = Array.length c.cuts in
+  if Float.is_nan v then (2 * k) + 1
+  else
+    let b = bucket ~base:c.base ~scale:c.scale ~n_buckets:c.n_buckets v in
+    let j =
+      search c.cuts v (Array.unsafe_get c.first b) (Array.unsafe_get c.first (b + 1))
+    in
+    (2 * j) + Bool.to_int (j < k && Array.unsafe_get c.cuts j = v)
+
+(* A condition's key interval on its column, [(1, 0)] when empty. *)
+let interval c cond =
+  let k = Array.length c.cuts in
+  (* The cut equal to a non-nan threshold: always present. *)
+  let cut thr = search c.cuts thr 0 k in
+  let nothing = (1, 0) in
+  match cond with
+  | Condition.Cat_eq { value; _ } -> (value, value)
+  | Condition.Num_le { threshold; _ } ->
+    if Float.is_nan threshold then nothing else (0, (2 * cut threshold) + 1)
+  | Condition.Num_ge { threshold; _ } ->
+    if Float.is_nan threshold then nothing else ((2 * cut threshold) + 1, 2 * k)
+  | Condition.Num_range { lo; hi; _ } ->
+    if Float.is_nan lo || Float.is_nan hi then nothing
+    else ((2 * cut lo) + 1, (2 * cut hi) + 1)
+
+let thresholds = function
+  | Condition.Cat_eq _ -> []
+  | Condition.Num_le { threshold; _ } | Condition.Num_ge { threshold; _ } -> [ threshold ]
+  | Condition.Num_range { lo; hi; _ } -> [ lo; hi ]
+
+let compile lists =
+  let seen = Hashtbl.create 64 in
+  let rev_conds = ref [] in
+  Array.iter
+    (Array.iter (fun r ->
+         List.iter
+           (fun c ->
+             if not (Hashtbl.mem seen c) then begin
+               Hashtbl.add seen c ();
+               rev_conds := c :: !rev_conds
+             end)
+           r.Rule.conditions))
+    lists;
+  let conditions = Array.of_list (List.rev !rev_conds) in
+  (* One program column per tested column, ascending. *)
+  let on_col = Hashtbl.create 8 in
+  Array.iter
+    (fun c ->
+      let col = Condition.col c in
+      Hashtbl.replace on_col col
+        (c :: Option.value ~default:[] (Hashtbl.find_opt on_col col)))
+    conditions;
+  let cols = List.sort compare (Hashtbl.fold (fun col _ acc -> col :: acc) on_col []) in
+  let columns =
+    Array.of_list
+      (List.map
+         (fun col ->
+           let conds = Hashtbl.find on_col col in
+           let is_cat = function Condition.Cat_eq _ -> true | _ -> false in
+           make_column ~col ~cat:(List.exists is_cat conds)
+             ~num:(List.exists (fun c -> not (is_cat c)) conds)
+             (List.concat_map thresholds conds))
+         cols)
+  in
+  let index = Hashtbl.create 8 in
+  List.iteri (fun ci col -> Hashtbl.add index col ci) cols;
+  let n_slots = ref 0 and n_rules = ref 0 in
+  let box r =
+    let ivs =
+      List.fold_left
+        (fun acc cond ->
+          let ci = Hashtbl.find index (Condition.col cond) in
+          let a, b = interval columns.(ci) cond in
+          match List.assoc_opt ci acc with
+          | Some (a0, b0) -> (ci, (max a a0, min b b0)) :: List.remove_assoc ci acc
+          | None -> (ci, (a, b)) :: acc)
+        [] r.Rule.conditions
+    in
+    let empty = List.exists (fun (_, (a, b)) -> a > b) ivs in
+    let ivs = if empty then [] else List.sort compare ivs in
+    let id = !n_rules and slot = !n_slots in
+    incr n_rules;
+    n_slots := !n_slots + List.length ivs;
+    {
+      cols = Array.of_list (List.map fst ivs);
+      klo = Array.of_list (List.map (fun (_, (a, _)) -> a) ivs);
+      khi = Array.of_list (List.map (fun (_, (_, b)) -> b) ivs);
+      empty;
+      slot;
+      id;
+    }
+  in
+  let lists = Array.map (Array.map box) lists in
+  { conditions; columns; lists; n_slots = !n_slots; n_rules = !n_rules }
+
+let column t col =
+  match Array.find_opt (fun c -> c.col = col) t.columns with
+  | Some c -> c
+  | None -> invalid_arg "Compiled: no condition of the program tests this column"
+
+let cuts t ~col = Array.copy (column t col).cuts
+
+let ladder_rank t ~col v = rank (column t col) v
+
+(* ------------------------------------------------------------------ *)
+(* Per-request keys                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* How a request reads a column: fresh numeric data ranks every record
+   through the bucket table; a numeric column a training pass already
+   sort-cached keys each record by its position in the cached order,
+   its ladder ranks becoming runs of that order by bound searches; a
+   categorical column keys each record by its code. In each case
+   [starts.(r)] is the first position of key-or-rank [r] in the
+   column's record order, so an interval's record count is a
+   difference of two cells. *)
+type source =
+  | Fresh of float array
+  | Cached of Pn_data.Sort_cache.entry * float array
+  | Codes of int array
+
+(* First position p in the sorted order whose value satisfies [pred];
+   [pred] must be monotone (false then true) along the order, which
+   Float.compare-based predicates are, nans included. *)
+let lower_bound order values pred =
+  let lo = ref 0 and hi = ref (Array.length order) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get cuts mid < v then lo := mid + 1 else hi := mid
+    if pred values.(Array.unsafe_get order mid) then hi := mid else lo := mid + 1
   done;
   !lo
 
-(* Bucket-sort the [n] records by rank: one binary search per record,
-   then a counting sort. [values], [rank] and [order] have at least [n]
-   cells; [rank] and [order] are borrowed. *)
-let build_ladder ~n (values : float array) (cuts : float array) ~rank ~order =
-  let k = Array.length cuts in
-  let n_ranks = (2 * k) + 2 in
-  let starts = Array.make (n_ranks + 1) 0 in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get values i in
-    let r =
-      if Float.is_nan v then n_ranks - 1
-      else
-        let c = count_below cuts v in
-        (2 * c) + Bool.to_int (c < k && Array.unsafe_get cuts c = v)
-    in
-    Array.unsafe_set rank i r;
-    starts.(r + 1) <- starts.(r + 1) + 1
-  done;
-  for r = 1 to n_ranks do
+let prefix_sums starts len =
+  for r = 1 to len - 1 do
     starts.(r) <- starts.(r) + starts.(r - 1)
-  done;
-  let next = Array.sub starts 0 n_ranks in
+  done
+
+(* Ranks and their counts for the first [n] records of a fresh numeric
+   column; [starts] has [2k + 3] zeroed cells and ends as prefix sums. *)
+let rank_fresh c ~n (values : float array) ~keys ~starts =
   for i = 0 to n - 1 do
-    let r = Array.unsafe_get rank i in
-    let p = Array.unsafe_get next r in
-    Array.unsafe_set order p i;
-    Array.unsafe_set next r (p + 1)
+    let r = rank c (Array.unsafe_get values i) in
+    Array.unsafe_set keys i r;
+    Array.unsafe_set starts (r + 1) (Array.unsafe_get starts (r + 1) + 1)
   done;
-  { cuts; order; starts }
+  prefix_sums starts ((2 * Array.length c.cuts) + 3)
 
-let ladder_prep l cond =
-  let k = Array.length l.cuts in
-  let at r = l.starts.(r) in
-  (* The cut equal to a non-nan threshold: always present. *)
-  let cut thr = count_below l.cuts thr in
-  let nothing = P_interval (l.order, 0, 0) in
-  match cond with
-  | Condition.Num_le { threshold; _ } ->
-    if Float.is_nan threshold then nothing
-    else P_interval (l.order, 0, at ((2 * cut threshold) + 2))
-  | Condition.Num_ge { threshold; _ } ->
-    if Float.is_nan threshold then nothing
-    else P_interval (l.order, at ((2 * cut threshold) + 1), at ((2 * k) + 1))
-  | Condition.Num_range { lo; hi; _ } ->
-    if Float.is_nan lo || Float.is_nan hi then nothing
-    else
-      let a = cut lo and b = cut hi in
-      if a > b then nothing
-      else P_interval (l.order, at ((2 * a) + 1), at ((2 * b) + 2))
-  | Condition.Cat_eq _ -> assert false
+(* The ladder over a sort-cached column: Float.compare sorts nans
+   first, so ranks [0 .. 2k] are runs of the order after them and the
+   nan rank, which no interval holds, has no run. [starts] has
+   [2k + 2] cells. *)
+let rank_cached c (e : Pn_data.Sort_cache.entry) values ~starts =
+  let order = e.Pn_data.Sort_cache.order in
+  let k = Array.length c.cuts in
+  starts.(0) <- lower_bound order values (fun v -> not (Float.is_nan v));
+  Array.iteri
+    (fun j thr ->
+      starts.((2 * j) + 1) <- lower_bound order values (fun v -> Float.compare v thr >= 0);
+      starts.((2 * j) + 2) <- lower_bound order values (fun v -> Float.compare v thr > 0))
+    c.cuts;
+  starts.((2 * k) + 1) <- Array.length order
 
-let k_rank = Pn_util.Scratch.key ()
-let k_order = Pn_util.Scratch.key ()
+(* Code counts for the first [n] records of a categorical column of
+   [arity] codes; [starts] has [arity + 1] zeroed cells. *)
+let count_codes ~n ~arity (codes : int array) ~starts =
+  for i = 0 to n - 1 do
+    let r = Array.unsafe_get codes i in
+    Array.unsafe_set starts (r + 1) (Array.unsafe_get starts (r + 1) + 1)
+  done;
+  prefix_sums starts (arity + 1)
 
-(* Bind every distinct condition to the dataset. Numeric conditions on
-   columns the sort cache does not hold share one ladder per column,
-   built once per call (one pool job per column) in arrays borrowed
-   from [scratch]. *)
-let prepare ~scratch ~pool ds conditions =
+(* Counting sort of the first [n] records by key, consuming [starts]:
+   each key's records land in its run in index order. *)
+let order_by_key ~n (keys : int array) ~starts ~order =
+  for i = 0 to n - 1 do
+    let r = Array.unsafe_get keys i in
+    let p = Array.unsafe_get starts r in
+    Array.unsafe_set order p i;
+    Array.unsafe_set starts r (p + 1)
+  done
+
+let k_keys = Scratch.key ()
+let k_starts = Scratch.key ()
+let k_order = Scratch.key ()
+let k_bounds = Scratch.key ()
+let k_driver = Scratch.key ()
+
+(* What the walks read: per program column its record keys and record
+   order; per slot four cells of [bounds], the positions [p0, p1) of
+   its interval in its column's order and the key bounds [lo, hi] a
+   record must fall in; per rule the slot it is walked from, or -1. *)
+type request = {
+  keys : int array array;
+  orders : int array array;
+  bounds : int array;
+  driver : int array;
+}
+
+let kind_error what = invalid_arg ("Compiled.eval: " ^ what)
+
+(* The three phases before the walks: keys and counts (one pool job per
+   column), the driving slot of every rule (sequential, O(slots)), and
+   the record orders of the driving columns (one pool job each). Every
+   job writes only its own arrays. *)
+let prepare ~pool ~scratch t ds =
   let n = Dataset.n_records ds in
-  let ladder_of = Hashtbl.create 8 in
-  let ladder_cols = ref [] in
-  let numeric cond col thresholds =
-    let values = num_column ds col in
-    match Dataset.sort_entry_opt ds ~col with
-    | Some e -> `Ready (rank_prep e values cond)
-    | None ->
-      let li, acc =
-        match Hashtbl.find_opt ladder_of col with
-        | Some entry -> entry
-        | None ->
-          let entry = (Hashtbl.length ladder_of, ref []) in
-          Hashtbl.add ladder_of col entry;
-          ladder_cols := (col, snd entry) :: !ladder_cols;
-          entry
-      in
-      acc := thresholds @ !acc;
-      `Ladder li
-  in
-  let plans =
+  let columns = t.columns in
+  let n_cols = Array.length columns in
+  let sources =
     Array.map
-      (fun cond ->
-        match cond with
-        | Condition.Cat_eq { col; value } -> (
-          match ds.Dataset.columns.(col) with
-          | Dataset.Cat codes -> `Ready (P_cat (codes, value))
-          | Dataset.Num _ ->
-            invalid_arg "Compiled.eval: categorical condition on numeric column")
-        | Condition.Num_le { col; threshold } | Condition.Num_ge { col; threshold } ->
-          numeric cond col [ threshold ]
-        | Condition.Num_range { col; lo; hi } -> numeric cond col [ lo; hi ])
-      conditions
+      (fun c ->
+        match ds.Dataset.columns.(c.col) with
+        | Dataset.Num values ->
+          if c.cat then kind_error "categorical condition on numeric column";
+          (match Dataset.sort_entry_opt ds ~col:c.col with
+          | Some e -> Cached (e, values)
+          | None -> Fresh values)
+        | Dataset.Cat codes ->
+          if c.num then kind_error "numeric condition on categorical column";
+          Codes codes)
+      columns
   in
-  let ladder_cols = Array.of_list (List.rev !ladder_cols) in
-  let n_ladders = Array.length ladder_cols in
-  let ranks =
-    Array.init n_ladders (fun li -> Pn_util.Scratch.ints scratch k_rank ~at:li n)
+  let keys =
+    Array.mapi
+      (fun ci src ->
+        match src with
+        | Fresh _ -> Scratch.ints scratch k_keys ~at:ci n
+        | Cached (e, _) -> e.Pn_data.Sort_cache.rank
+        | Codes codes -> codes)
+      sources
   in
+  let arity ci = Pn_data.Attribute.arity ds.Dataset.attrs.(columns.(ci).col) in
+  let starts =
+    Array.mapi
+      (fun ci src ->
+        let len =
+          match src with
+          | Fresh _ -> (2 * Array.length columns.(ci).cuts) + 3
+          | Cached _ -> (2 * Array.length columns.(ci).cuts) + 2
+          | Codes _ -> arity ci + 1
+        in
+        let a = Scratch.ints scratch k_starts ~at:ci len in
+        Array.fill a 0 len 0;
+        a)
+      sources
+  in
+  ignore
+    (Pn_util.Pool.map_array pool n_cols (fun ci ->
+         let starts = starts.(ci) in
+         match sources.(ci) with
+         | Fresh values -> rank_fresh columns.(ci) ~n values ~keys:keys.(ci) ~starts
+         | Cached (e, values) -> rank_cached columns.(ci) e values ~starts
+         | Codes codes -> count_codes ~n ~arity:(arity ci) codes ~starts));
+  let bounds = Scratch.ints scratch k_bounds (4 * t.n_slots) in
+  let driver = Scratch.ints scratch k_driver t.n_rules in
+  let set s ~p0 ~p1 ~lo ~hi =
+    bounds.(4 * s) <- p0;
+    bounds.((4 * s) + 1) <- p1;
+    bounds.((4 * s) + 2) <- lo;
+    bounds.((4 * s) + 3) <- hi
+  in
+  let drives = Array.make n_cols false in
+  Array.iter
+    (Array.iter (fun r ->
+         let best = ref (-1) and best_count = ref max_int in
+         for j = 0 to Array.length r.cols - 1 do
+           let s = r.slot + j and ci = r.cols.(j) in
+           let a = r.klo.(j) and b = r.khi.(j) and st = starts.(ci) in
+           (match sources.(ci) with
+           | Codes _ when a < 0 || a >= arity ci -> set s ~p0:0 ~p1:0 ~lo:1 ~hi:0
+           | Fresh _ | Codes _ -> set s ~p0:st.(a) ~p1:st.(b + 1) ~lo:a ~hi:b
+           | Cached _ -> set s ~p0:st.(a) ~p1:st.(b + 1) ~lo:st.(a) ~hi:(st.(b + 1) - 1));
+           let count = bounds.((4 * s) + 1) - bounds.(4 * s) in
+           if count < !best_count then begin
+             best := s;
+             best_count := count
+           end
+         done;
+         driver.(r.id) <- !best;
+         if !best >= 0 && !best_count > 0 then drives.(r.cols.(!best - r.slot)) <- true))
+    t.lists;
+  let to_sort = ref [] in
   let orders =
-    Array.init n_ladders (fun li -> Pn_util.Scratch.ints scratch k_order ~at:li n)
+    Array.mapi
+      (fun ci src ->
+        match src with
+        | Cached (e, _) -> e.Pn_data.Sort_cache.order
+        | (Fresh _ | Codes _) when drives.(ci) ->
+          to_sort := ci :: !to_sort;
+          Scratch.ints scratch k_order ~at:ci n
+        | Fresh _ | Codes _ -> [||])
+      sources
   in
-  let ladders =
-    Pn_util.Pool.map_array pool n_ladders (fun li ->
-        let col, thresholds = ladder_cols.(li) in
-        build_ladder ~n (num_column ds col) (cuts_of !thresholds) ~rank:ranks.(li)
-          ~order:orders.(li))
-  in
-  Array.map2
-    (fun cond plan ->
-      match plan with `Ready p -> p | `Ladder li -> ladder_prep ladders.(li) cond)
-    conditions plans
+  let to_sort = Array.of_list !to_sort in
+  ignore
+    (Pn_util.Pool.map_array pool (Array.length to_sort) (fun j ->
+         let ci = to_sort.(j) in
+         order_by_key ~n keys.(ci) ~starts:starts.(ci) ~order:orders.(ci)));
+  { keys; orders; bounds; driver }
 
 (* ------------------------------------------------------------------ *)
-(* Columnar sweeps                                                      *)
+(* Rule walks                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bits = Bitset.bits_per_word
+(* Whether record [i] falls in every interval of rule [r] other than
+   its driving slot [d]. *)
+let[@inline] inside req r d i =
+  let ok = ref true and j = ref 0 in
+  let m = Array.length r.cols in
+  while !ok && !j < m do
+    let s = r.slot + !j in
+    if s <> d then begin
+      let key = Array.unsafe_get (Array.unsafe_get req.keys (Array.unsafe_get r.cols !j)) i in
+      ok :=
+        key >= Array.unsafe_get req.bounds ((4 * s) + 2)
+        && key <= Array.unsafe_get req.bounds ((4 * s) + 3)
+    end;
+    incr j
+  done;
+  !ok
 
-(* Resolution chunks span an exact number of words, so parallel chunks
-   own disjoint word ranges of the output arrays. *)
-let records_per_chunk = bits * 64
-
-(* Exact [idx / 63] without a hardware divide: split off [idx lsr 6]
-   (a 64-divide underestimates a 63-divide), then finish the small
-   remainder with a round-up magic multiply. The multiply is
-   overflow-free and exact for idx < 2^36 — verified by brute force to
-   2^26 and sampling to 2^36 — far beyond any dataset this engine will
-   see. Only used when [bits] = 63 (every 64-bit platform). *)
-let div63 idx =
-  let q0 = idx lsr 6 in
-  let d = (idx land 63) + q0 in
-  q0 + ((d * 2181570691) lsr 37)
-
-(* Scatter the records at order positions [p_lo, p_hi) into the word
-   array. Sequential reads of [order], single-bit ors into a bitset
-   that is tiny (n/8 bytes) and therefore cache-resident. *)
-let set_interval order w ~p_lo ~p_hi =
-  if bits = 63 then
-    for p = p_lo to p_hi - 1 do
-      let idx = Array.unsafe_get order p in
-      let q = div63 idx in
-      Array.unsafe_set w q (Array.unsafe_get w q lor (1 lsl (idx - (q * 63))))
-    done
-  else
-    for p = p_lo to p_hi - 1 do
-      let idx = Array.unsafe_get order p in
-      let q = idx / bits in
-      Array.unsafe_set w q (Array.unsafe_get w q lor (1 lsl (idx mod bits)))
-    done
-
-(* Fill one condition's bitset over the whole dataset. The categorical
-   sweep advances one output word (= [bits] records) at a time, the
-   inner loop a direct array read + branchless compare-to-bit. The
-   interval variant does no sweep at all: it scatters only the covered
-   records — or, for wide intervals, the uncovered ones followed by a
-   word-wise complement — so its cost is O(min(covered, n - covered)),
-   not O(n). *)
-let fill prep bs =
-  let w = Bitset.words bs in
-  let n = Bitset.length bs in
-  match prep with
-  | P_cat (codes, v) ->
-    let wi = ref 0 and base = ref 0 in
-    while !base < n do
-      let b0 = !base in
-      let m = min bits (n - b0) in
-      let acc = ref 0 in
-      for b = 0 to m - 1 do
-        acc := !acc lor (Bool.to_int (Array.unsafe_get codes (b0 + b) = v) lsl b)
-      done;
-      Array.unsafe_set w !wi !acc;
-      incr wi;
-      base := b0 + m
-    done
-  | P_interval (order, cut_lo, cut_hi) ->
-    let covered = cut_hi - cut_lo in
-    if 2 * covered <= n then set_interval order w ~p_lo:cut_lo ~p_hi:cut_hi
+(* Apply [hit] to every record rule [r] matches, driver first; [all]
+   runs instead when the rule has no conditions. *)
+let[@inline] walk req r ~hit ~all =
+  if not r.empty then begin
+    let d = Array.unsafe_get req.driver r.id in
+    if d < 0 then all ()
     else begin
-      (* Wide interval: scatter the complement, then flip. *)
-      set_interval order w ~p_lo:0 ~p_hi:cut_lo;
-      set_interval order w ~p_lo:cut_hi ~p_hi:n;
-      let nw = Array.length w in
-      for j = 0 to nw - 1 do
-        Array.unsafe_set w j (lnot (Array.unsafe_get w j))
-      done;
-      let r = n mod bits in
-      if r <> 0 && nw > 0 then w.(nw - 1) <- w.(nw - 1) land ((1 lsl r) - 1)
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Word-at-a-time first-match resolution                                *)
-(* ------------------------------------------------------------------ *)
-
-(* First-match resolution for one rule list over one chunk of records.
-   [cond_words] are the full-length word arrays of the global condition
-   bitsets; this chunk reads them at word offset [lo / bits] and writes
-   only its own slice of [out]. [out] is prefilled with -1; only hits
-   are written, each record at most once (its bit leaves [unresolved]
-   the moment a rule claims it). *)
-let resolve rules cond_words out ~lo ~len =
-  let unresolved = Bitset.full len in
-  let hit = Bitset.create len in
-  let nw = Bitset.words_for len in
-  let w0 = lo / bits in
-  let uw = Bitset.words unresolved and hw = Bitset.words hit in
-  let n_rules = Array.length rules in
-  let k = ref 0 and live = ref (len > 0) in
-  while !live && !k < n_rules do
-    let conds = rules.(!k) in
-    Array.blit uw 0 hw 0 nw;
-    for ci = 0 to Array.length conds - 1 do
-      let cw = Array.unsafe_get cond_words (Array.unsafe_get conds ci) in
-      for j = 0 to nw - 1 do
-        Array.unsafe_set hw j
-          (Array.unsafe_get hw j land Array.unsafe_get cw (w0 + j))
+      let order = req.orders.(r.cols.(d - r.slot)) in
+      for p = req.bounds.(4 * d) to req.bounds.((4 * d) + 1) - 1 do
+        let i = Array.unsafe_get order p in
+        if inside req r d i then hit i
       done
-    done;
-    let rule_idx = !k in
-    let any_left = ref false in
-    for wi = 0 to nw - 1 do
-      let h = Array.unsafe_get hw wi in
-      if h <> 0 then begin
-        let word = ref h and idx = ref (lo + (wi * bits)) in
-        while !word <> 0 do
-          if !word land 1 <> 0 then Array.unsafe_set out !idx rule_idx;
-          word := !word lsr 1;
-          incr idx
-        done;
-        Array.unsafe_set uw wi (Array.unsafe_get uw wi land lnot h)
-      end;
-      if Array.unsafe_get uw wi <> 0 then any_left := true
-    done;
-    live := !any_left;
-    incr k
-  done
-
-(* Coverage of one rule list over one chunk of records: bit [i] of
-   [out] is set when any rule matches record [i]. Word-major — each
-   output word ORs its rules' condition ANDs and is written once — so
-   no scratch bitset is needed; a word stops early once every record
-   in it is covered. An empty rule ANDs nothing, so it starts from the
-   chunk's valid-bit mask, which keeps the tail bits of the last word
-   zero. *)
-let union rules cond_words out ~lo ~len =
-  let nw = Bitset.words_for len in
-  let w0 = lo / bits in
-  let tail = len mod bits in
-  let n_rules = Array.length rules in
-  for j = 0 to nw - 1 do
-    let valid = if j = nw - 1 && tail <> 0 then (1 lsl tail) - 1 else -1 in
-    let acc = ref 0 and k = ref 0 in
-    while !acc <> valid && !k < n_rules do
-      let conds = Array.unsafe_get rules !k in
-      let h = ref valid in
-      for ci = 0 to Array.length conds - 1 do
-        let cw = Array.unsafe_get cond_words (Array.unsafe_get conds ci) in
-        h := !h land Array.unsafe_get cw (w0 + j)
-      done;
-      acc := !acc lor !h;
-      incr k
-    done;
-    Array.unsafe_set out (w0 + j) !acc
-  done
-
-(* The two phases [eval] and [cover] share. Phase 1: one bitset per
-   distinct condition, each job owning its own bitset. Phase 2: [per_chunk]
-   once per word-aligned chunk of records, each job owning that slice of
-   the outputs. Both phases write disjoint memory, so the result is
-   identical at any pool size. Nothing runs on an empty dataset or an
-   empty program. *)
-let sweep ?pool ~scratch t ds per_chunk =
-  let n = Dataset.n_records ds in
-  if n > 0 && Array.length t.lists > 0 then begin
-    let pool =
-      match pool with Some p -> p | None -> Pn_util.Pool.get_default ()
-    in
-    let preps = prepare ~scratch ~pool ds t.conditions in
-    let n_conds = Array.length preps in
-    let cond_sets = Array.map (fun _ -> Bitset.create n) preps in
-    if n_conds > 0 then
-      ignore
-        (Pn_util.Pool.map_array pool n_conds (fun ci ->
-             fill preps.(ci) cond_sets.(ci)));
-    let cond_words = Array.map Bitset.words cond_sets in
-    let n_chunks = ((n - 1) / records_per_chunk) + 1 in
-    ignore
-      (Pn_util.Pool.map_array pool n_chunks (fun chunk ->
-           let lo = chunk * records_per_chunk in
-           per_chunk cond_words ~lo ~len:(min records_per_chunk (n - lo))))
+    end
   end
 
-let k_first = Pn_util.Scratch.key ()
+(* The per-list walks, one pool job per list, each writing only its
+   list's output. Nothing runs on an empty dataset or program. *)
+let run ?pool ~scratch t ds per_list =
+  let n = Dataset.n_records ds in
+  if n > 0 && Array.length t.lists > 0 then begin
+    let pool = match pool with Some p -> p | None -> Pn_util.Pool.get_default () in
+    let req = prepare ~pool ~scratch t ds in
+    ignore (Pn_util.Pool.map_array pool (Array.length t.lists) (per_list req))
+  end
 
-let eval ?pool ?(scratch = Pn_util.Scratch.create ()) t ds =
+let k_first = Scratch.key ()
+
+(* Rules in list order, each writing its index where no earlier rule
+   did; the walk stops once every record is resolved. *)
+let eval ?pool ?(scratch = Scratch.create ()) t ds =
   let n = Dataset.n_records ds in
   let out =
     Array.mapi
       (fun l _ ->
-        let a = Pn_util.Scratch.ints scratch k_first ~at:l n in
+        let a = Scratch.ints scratch k_first ~at:l n in
         Array.fill a 0 n (-1);
         a)
       t.lists
   in
-  sweep ?pool ~scratch t ds (fun cond_words ~lo ~len ->
-      Array.iteri
-        (fun l rules -> resolve rules cond_words out.(l) ~lo ~len)
-        t.lists);
+  run ?pool ~scratch t ds (fun req l ->
+      let out = out.(l) and rules = t.lists.(l) in
+      let left = ref n and k = ref 0 in
+      let claim i =
+        if Array.unsafe_get out i < 0 then begin
+          Array.unsafe_set out i !k;
+          decr left
+        end
+      in
+      let all () =
+        for i = 0 to n - 1 do
+          claim i
+        done
+      in
+      while !left > 0 && !k < Array.length rules do
+        walk req rules.(!k) ~hit:claim ~all;
+        incr k
+      done);
   out
 
-let cover ?pool ?(scratch = Pn_util.Scratch.create ()) t ds =
+let cover ?pool ?(scratch = Scratch.create ()) t ds =
   let n = Dataset.n_records ds in
   let out = Array.map (fun _ -> Bitset.create n) t.lists in
-  sweep ?pool ~scratch t ds (fun cond_words ~lo ~len ->
-      Array.iteri
-        (fun l rules -> union rules cond_words (Bitset.words out.(l)) ~lo ~len)
-        t.lists);
+  run ?pool ~scratch t ds (fun req l ->
+      let bs = out.(l) and rules = t.lists.(l) in
+      let full = ref false and k = ref 0 in
+      let hit i = Bitset.set bs i in
+      let all () =
+        Bitset.fill_ones bs;
+        full := true
+      in
+      while (not !full) && !k < Array.length rules do
+        walk req rules.(!k) ~hit ~all;
+        incr k
+      done);
   out
 
 let first_match_all ?pool rules ds = (eval ?pool (compile [| rules |]) ds).(0)

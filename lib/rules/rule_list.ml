@@ -20,8 +20,8 @@ let first_match ds t i =
 let any_match ds t i = Option.is_some (first_match ds t i)
 
 let covered ds t =
-  (* One compiled pass over the bitset engine instead of re-running
-     any_match (every condition of every rule) per record. *)
+  (* One compiled pass instead of re-running any_match (every
+     condition of every rule) per record. *)
   let fm = Compiled.first_match_all t.rules ds in
   let n_hits = ref 0 in
   Array.iter (fun m -> if m >= 0 then incr n_hits) fm;

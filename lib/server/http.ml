@@ -11,7 +11,7 @@ type conn = {
   mutable rlen : int;
   mutable wretries : int;
   mutable unread : int;  (* request body bytes not yet read *)
-  write_fault : string;
+  write_fault : string option;
   read_fault : string option;
   scratch : Scratch.t;
 }
@@ -22,8 +22,8 @@ let k_server_rbuf = Scratch.key ()
 let k_client_rbuf = Scratch.key ()
 
 (* 16 KiB: the response-head cap; request heads are capped at 8 KiB. *)
-let conn_of_fd ~key ?(scratch = Scratch.create ()) ?(write_fault = "serve.chunk_write")
-    ?read_fault fd =
+let conn_of_fd ~key ?(scratch = Scratch.create ())
+    ?(write_fault = Some "serve.chunk_write") ?read_fault fd =
   let rbuf = Scratch.bytes scratch key 16384 in
   { fd; rbuf; rpos = 0; rlen = 0; wretries = 0; unread = 0; write_fault; read_fault; scratch }
 
@@ -93,7 +93,11 @@ let write_bytes c b off len =
   let rec go off attempts =
     if off < stop then
       match
-        let want = Pn_util.Fault.cap c.write_fault (stop - off) in
+        let want =
+          match c.write_fault with
+          | None -> stop - off
+          | Some p -> Pn_util.Fault.cap p (stop - off)
+        in
         Unix.write c.fd b off want
       with
       | n -> go (off + n) 0

@@ -208,14 +208,15 @@ val rheader : response -> string -> string option
     as in {!make_conn}; a client conn's read buffer is a different
     scratch buffer from a server conn's, so one worker can hold one of
     each. [write_fault] names the fault point passed on every write
-    (default ["serve.chunk_write"]); [read_fault], when given, names one
-    passed on every buffered read — the router's proxy legs use
+    (default [Some "serve.chunk_write"]; [None] writes clean, as the
+    router's health probes and scrapes do); [read_fault], when given,
+    names one passed on every buffered read — the router's proxy legs use
     ["router.proxy_write"] / ["router.proxy_read"] so chaos runs can
     fail either direction of a proxied request deterministically.
     Raises [Unix.Unix_error] on connect failure (the fd is closed). *)
 val connect :
   ?scratch:Pn_util.Scratch.t ->
-  ?write_fault:string ->
+  ?write_fault:string option ->
   ?read_fault:string ->
   host:string ->
   port:int ->

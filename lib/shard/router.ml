@@ -129,7 +129,7 @@ let attempt t b ~scratch ~meth ~target ~headers ~body =
   match
     let c =
       Http.connect ~scratch ~host:t.config.host ~port ~timeout:proxy_timeout
-        ~write_fault:"router.proxy_write" ~read_fault:"router.proxy_read" ()
+        ~write_fault:(Some "router.proxy_write") ~read_fault:"router.proxy_read" ()
     in
     Fun.protect
       ~finally:(fun () ->
@@ -159,7 +159,7 @@ let attempt t b ~scratch ~meth ~target ~headers ~body =
 let scrape ?scratch t b target =
   match
     let c =
-      Http.connect ?scratch ~host:t.config.host
+      Http.connect ?scratch ~write_fault:None ~host:t.config.host
         ~port:(Atomic.get b.Backend.port)
         ~timeout:probe_timeout ()
     in

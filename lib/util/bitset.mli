@@ -1,9 +1,8 @@
 (** Dense bitsets over machine words.
 
-    The compiled scoring engine evaluates rule conditions columnar-style:
-    one sweep per distinct condition produces a bitset over the record
-    index space, and rule conjunction / first-match resolution become
-    word-wide [land]/[lnot] passes. Words are OCaml native ints — 63
+    The compiled scoring engine reports each rule list's coverage as a
+    bitset over the record index space, and the booster and the drift
+    monitor walk its set bits. Words are OCaml native ints — 63
     usable bits each — rather than boxed [int64]s, so every bulk
     operation stays allocation-free.
 

@@ -28,4 +28,5 @@ let () =
       ("columnar", Test_columnar.suite);
       ("serve", Test_serve.suite);
       ("shard", Test_shard.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -1,4 +1,4 @@
-(* Compiled bitset scoring engine vs the per-record reference path.
+(* Compiled scoring engine vs the per-record reference path.
 
    The engine must be bit-identical to Rule_list.first_match /
    Model.score / Multiclass.predict on adversarial inputs: ties and
@@ -214,15 +214,9 @@ let model_arb =
     gen_model_scenario
 
 let make_model p_rules n_rules use_scoring scores =
-  {
-    M.target = 1;
-    classes;
-    attrs;
-    p_rules = RL.of_array p_rules;
-    n_rules = RL.of_array n_rules;
-    scores;
-    params = { Pnrule.Params.default with use_scoring };
-  }
+  M.make ~target:1 ~classes ~attrs ~p_rules:(RL.of_array p_rules)
+    ~n_rules:(RL.of_array n_rules) ~scores
+    ~params:{ Pnrule.Params.default with use_scoring }
 
 let prop_model (ds, build_cache, p_rules, n_rules, use_scoring, scores) =
   if build_cache then force_cache ds;
@@ -526,8 +520,105 @@ let prop_ladder (ds, lists) =
         (pools ()))
     [ ds; padded ds ]
 
+(* ------------------------------------------------------------------ *)
+(* Bucket table vs binary search                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Cut sets the bucket table must rank exactly: clustered far below the
+   bucket width, a single cut, infinite cuts, a span that overflows to
+   inf, a finite span so wide that [v - c_0] overflows, a subnormal
+   span whose scale overflows, both zeros, and plain spreads. *)
+let gen_cut_set =
+  let open QCheck.Gen in
+  let spread = list_size (int_range 1 40) (float_range (-100.0) 100.0) in
+  oneof
+    [
+      (let* base = float_range (-50.0) 50.0 in
+       let* k = int_range 1 30 in
+       let* far = float_range 100.0 1000.0 in
+       return (far :: List.init k (fun i -> base +. (float_of_int i *. 1e-9))));
+      map (fun x -> [ x ]) (float_range (-10.0) 10.0);
+      map (fun l -> Float.infinity :: Float.neg_infinity :: l) spread;
+      map (fun l -> Float.neg_infinity :: l) spread;
+      map (fun l -> 1e308 :: -1e308 :: l) spread;
+      map (fun l -> -1e308 :: l) spread;
+      return [ 0.0; 5e-324; 1e-323 ];
+      map (fun l -> -0.0 :: 0.0 :: l) spread;
+      return [ -0.0 ];
+      spread;
+    ]
+
+(* Every cut, its neighbours, nan, the infinities, both zeros and
+   values from far outside the span. *)
+let probe_values cuts extra =
+  List.concat_map (fun c -> [ c; Float.pred c; Float.succ c ]) cuts
+  @ [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1e300; -1e300;
+      Float.max_float; -.Float.max_float; Float.min_float ]
+  @ extra
+
+let binary_search_rank cuts v =
+  let k = Array.length cuts in
+  if Float.is_nan v then (2 * k) + 1
+  else
+    let lo = ref 0 and hi = ref k in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if cuts.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    (2 * !lo) + Bool.to_int (!lo < k && cuts.(!lo) = v)
+
+let bucket_arb =
+  QCheck.make
+    ~print:(fun (cuts, extra) ->
+      Printf.sprintf "cuts=[%s] extra=[%s]"
+        (String.concat ";" (List.map (Printf.sprintf "%h") cuts))
+        (String.concat ";" (List.map (Printf.sprintf "%h") extra)))
+    QCheck.Gen.(pair gen_cut_set (list_size (int_range 0 20) (float_range (-200.0) 200.0)))
+
+let prop_bucket_rank (thresholds, extra) =
+  (* Both kinds of condition, so every threshold reaches the ladder. *)
+  let rules =
+    List.mapi
+      (fun i threshold ->
+        Rule.of_conditions
+          [ (if i mod 2 = 0 then Cond.Num_le { col = 0; threshold }
+             else Cond.Num_ge { col = 0; threshold }) ])
+      thresholds
+  in
+  let prog = C.compile [| Array.of_list rules |] in
+  let cuts = C.cuts prog ~col:0 in
+  let sorted_distinct =
+    Array.for_all Fun.id
+      (Array.init (max 0 (Array.length cuts - 1)) (fun j -> cuts.(j) < cuts.(j + 1)))
+  in
+  sorted_distinct
+  && List.for_all
+       (fun v -> C.ladder_rank prog ~col:0 v = binary_search_rank cuts v)
+       (probe_values thresholds extra)
+
+(* One numeric column sort-cached and the other fresh, so one rule's
+   intervals mix cached positions and ladder ranks. *)
+let prop_partial_cache (ds, _, lists) =
+  if D.n_records ds > 0 then ignore (D.sorted_order ds ~col:1);
+  let prog = C.compile lists in
+  List.for_all
+    (fun (_pname, pool) ->
+      let fm = C.eval ~pool prog ds in
+      Array.for_all2
+        (fun rules got ->
+          Array.for_all
+            (fun i -> got.(i) = reference_first_match ds rules i)
+            (Array.init (D.n_records ds) Fun.id))
+        lists fm
+      && cover_agrees ~pool prog ds)
+    (pools ())
+
 let qcheck_props =
   [
+    QCheck.Test.make ~count:1000 ~name:"bucket rank == binary search rank" bucket_arb
+      prop_bucket_rank;
+    QCheck.Test.make ~count:300 ~name:"one column cached, one fresh == reference"
+      scenario_arb prop_partial_cache;
     QCheck.Test.make ~count:500 ~name:"ladder eval and cover == reference on fresh data"
       ladder_arb prop_ladder;
     QCheck.Test.make ~count:300 ~name:"compiled first_match == reference"

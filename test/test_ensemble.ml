@@ -100,14 +100,8 @@ let test_batch_allocation () =
         { E.rule = Pn_rules.Rule.of_conditions conds; weight = 0.01 *. float_of_int (k - 25) })
   in
   let e =
-    {
-      E.target = 1;
-      classes = ds.D.classes;
-      attrs = ds.D.attrs;
-      members;
-      bias = -1.0;
-      threshold = 0.0;
-    }
+    E.make ~target:1 ~classes:ds.D.classes ~attrs:ds.D.attrs ~members ~bias:(-1.0)
+      ~threshold:0.0
   in
   let model = Sv.Boosted e in
   let batch () = Sv.eval_batch ~pool:Pn_util.Pool.sequential ~scores:true model ds in
@@ -117,6 +111,50 @@ let test_batch_allocation () =
     (Printf.sprintf "%.2f words per row <= %.1f" per_row words_per_row_bound)
     true
     (per_row <= words_per_row_bound)
+
+(* One warm eval on a 1-row dataset costs what scoring needs, not a
+   rebuild of the rule program: a PNrule model trained on nsyn3 and a
+   46-member ensemble of narrow [a0] slabs over nsyn3's three columns,
+   each scored with a warm scratch. They measure about 350 and 1 400
+   words (1 400 and 9 500 when every call compiled the program and
+   filled a bitset per condition); the bounds are about twice that. *)
+let warm_eval_words model =
+  let ds = Pn_synth.Numerical.generate (Pn_synth.Numerical.nsyn 3) ~seed:38 ~n:1 in
+  let scratch = Pn_util.Scratch.create () in
+  let eval () =
+    Sv.eval_batch ~pool:Pn_util.Pool.sequential ~scratch ~scores:true model ds
+  in
+  ignore (eval ());
+  allocated_words eval
+
+let slab_ensemble () =
+  let module C = Pn_rules.Condition in
+  let train = Pn_synth.Numerical.generate (Pn_synth.Numerical.nsyn 3) ~seed:37 ~n:200 in
+  let members =
+    Array.init 46 (fun k ->
+        let lo = 1.0 +. (2.1 *. float_of_int k) in
+        let slab = C.Num_range { col = 0; lo; hi = lo +. 0.04 } in
+        let conds =
+          match k mod 3 with
+          | 0 -> [ slab ]
+          | 1 -> [ slab; C.Num_le { col = 1; threshold = 50.0 } ]
+          | _ -> [ C.Num_ge { col = 2; threshold = 10.0 }; slab ]
+        in
+        { E.rule = Pn_rules.Rule.of_conditions conds; weight = 0.1 *. float_of_int (k + 1) })
+  in
+  E.make ~target:Pn_synth.Numerical.target_class ~classes:train.D.classes
+    ~attrs:train.D.attrs ~members ~bias:(-1.5) ~threshold:0.0
+
+let test_warm_eval_allocation () =
+  let train = Pn_synth.Numerical.generate (Pn_synth.Numerical.nsyn 3) ~seed:37 ~n:4000 in
+  let pn = Sv.Single (Pnrule.Learner.train train ~target:Pn_synth.Numerical.target_class) in
+  List.iter
+    (fun (what, model, bound) ->
+      let words = warm_eval_words model in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= %.0f" what words bound)
+        true (words <= bound))
+    [ ("PNrule", pn, 700.0); ("46 members", Sv.Boosted (slab_ensemble ()), 2_800.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)
@@ -139,15 +177,10 @@ let ensemble_gen =
   weight >>= fun bias ->
   weight >>= fun threshold ->
   return
-    {
-      E.target = m.Pnrule.Model.target;
-      classes = m.Pnrule.Model.classes;
-      attrs = m.Pnrule.Model.attrs;
-      members =
-        Array.of_list (List.map2 (fun rule weight -> { E.rule; weight }) rules ws);
-      bias;
-      threshold;
-    }
+    (E.make ~target:m.Pnrule.Model.target ~classes:m.Pnrule.Model.classes
+       ~attrs:m.Pnrule.Model.attrs
+       ~members:(Array.of_list (List.map2 (fun rule weight -> { E.rule; weight }) rules ws))
+       ~bias ~threshold)
 
 (* Flip any byte or chop the tail: the boosted body, like the single
    one, must answer every mutation with [Corrupt]. *)
@@ -189,12 +222,10 @@ let same_bits a b =
    weights do not, so the same members re-weighted 0.1, 0.2, ... also
    pin the order of the additions. *)
 let decimal_weights e =
-  {
-    e with
-    E.members =
-      Array.mapi (fun k m -> { m with E.weight = 0.1 *. float_of_int (k + 1) }) e.E.members;
-    bias = 0.7;
-  }
+  E.make ~target:e.E.target ~classes:e.E.classes ~attrs:e.E.attrs
+    ~members:
+      (Array.mapi (fun k m -> { m with E.weight = 0.1 *. float_of_int (k + 1) }) e.E.members)
+    ~bias:0.7 ~threshold:e.E.threshold
 
 (* ------------------------------------------------------------------ *)
 (* Model-reader fuzzing                                                 *)
@@ -354,7 +385,7 @@ let test_large_ensemble_roundtrip () =
         })
   in
   let e =
-    { E.target = 1; classes = [| "n"; "t" |]; attrs; members; bias = -1.0; threshold = 0.0 }
+    E.make ~target:1 ~classes:[| "n"; "t" |] ~attrs ~members ~bias:(-1.0) ~threshold:0.0
   in
   let t0 = Unix.gettimeofday () in
   let s = S.to_string (Sv.Boosted e) in
@@ -411,6 +442,8 @@ let suite =
       test_compiled_matches_reference;
     Alcotest.test_case "ensemble: boosted batch allocates O(rows)" `Quick
       test_batch_allocation;
+    Alcotest.test_case "ensemble: a warm 1-row eval allocates little" `Quick
+      test_warm_eval_allocation;
     Alcotest.test_case "ensemble: file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "ensemble: 16000-member file round-trips under 1 s" `Quick
       test_large_ensemble_roundtrip;

@@ -144,7 +144,11 @@ let test_warm_canary () =
     { Pn_data.Attribute.name = "broken";
       kind = Pn_data.Attribute.Categorical [||]
     };
-  let bad = Pnrule.Saved.Single { m with Pnrule.Model.attrs = attrs } in
+  let bad =
+    Pnrule.Saved.Single
+      (Pnrule.Model.make ~target:m.target ~classes:m.classes ~attrs ~p_rules:m.p_rules
+         ~n_rules:m.n_rules ~scores:m.scores ~params:m.params)
+  in
   match R.warm bad with
   | () -> Alcotest.fail "canary accepted an unscorable model"
   | exception R.Error _ -> ()

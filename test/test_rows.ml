@@ -125,11 +125,9 @@ let model =
   let module Cd = Pn_rules.Condition in
   let member w conds = { Pnrule.Ensemble.rule = Pn_rules.Rule.of_conditions conds; weight = w } in
   Pnrule.Saved.Boosted
-    {
-      Pnrule.Ensemble.target = 1;
-      classes;
-      attrs = [| A.numeric "x"; A.numeric "y"; A.categorical "c" categories; A.numeric "z" |];
-      members =
+    (Pnrule.Ensemble.make ~target:1 ~classes
+       ~attrs:[| A.numeric "x"; A.numeric "y"; A.categorical "c" categories; A.numeric "z" |]
+       ~members:
         [|
           member 0.7 [ Cd.Num_le { col = 0; threshold = 0.5 } ];
           member 0.4 [ Cd.Num_ge { col = 1; threshold = 0.3 } ];
@@ -137,10 +135,8 @@ let model =
           member (-0.3) [ Cd.Cat_eq { col = 2; value = 1 } ];
           member 0.2 [ Cd.Num_le { col = 3; threshold = 0.5 } ];
           member 0.1 [ Cd.Num_range { col = 0; lo = 0.2; hi = 0.6 } ];
-        |];
-      bias = -0.6;
-      threshold = 0.0;
-    }
+        |]
+       ~bias:(-0.6) ~threshold:0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Renderings at full precision                                         *)

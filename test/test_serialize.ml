@@ -278,15 +278,12 @@ let test_backslash_names () =
      tokenizer used to misread the escaped backslash as escaping the
      closing quote and overrun the literal. *)
   let model =
-    {
-      M.target = 0;
-      classes = [| "a\\"; "q\"\\" |];
-      attrs = [| A.categorical "c\\" [| "v\\"; "plain" |] |];
-      p_rules = Pn_rules.Rule_list.of_list [];
-      n_rules = Pn_rules.Rule_list.of_list [];
-      scores = [||];
-      params = Pnrule.Params.default;
-    }
+    M.make ~target:0
+      ~classes:[| "a\\"; "q\"\\" |]
+      ~attrs:[| A.categorical "c\\" [| "v\\"; "plain" |] |]
+      ~p_rules:(Pn_rules.Rule_list.of_list [])
+      ~n_rules:(Pn_rules.Rule_list.of_list [])
+      ~scores:[||] ~params:Pnrule.Params.default
   in
   let back = single (write model) in
   Alcotest.(check bool) "classes survive" true (back.M.classes = model.M.classes);
@@ -337,15 +334,8 @@ let model_gen =
   threshold >>= fun score_threshold ->
   bool >>= fun use_scoring ->
   return
-    {
-      M.target;
-      classes;
-      attrs;
-      p_rules;
-      n_rules;
-      scores;
-      params = { Pnrule.Params.default with score_threshold; use_scoring };
-    }
+    (M.make ~target ~classes ~attrs ~p_rules ~n_rules ~scores
+       ~params:{ Pnrule.Params.default with score_threshold; use_scoring })
 
 (* A corruption: flip any one byte or chop the tail off. Either way the
    reader must answer with [Corrupt] — not crash with a stray

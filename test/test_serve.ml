@@ -193,7 +193,7 @@ let test_wide_body_retention () =
   in
   let model =
     Sv.Boosted
-      { Pnrule.Ensemble.target = 1; classes; attrs; members; bias = -1.0; threshold = 0.0 }
+      (Pnrule.Ensemble.make ~target:1 ~classes ~attrs ~members ~bias:(-1.0) ~threshold:0.0)
   in
   let wide = Pn_data.Columnar.to_string ~group_size:rows ds in
   let answer ~scratch body =

@@ -710,6 +710,29 @@ let test_bodies_no_route_reads () =
         "no smuggled request reached a route" 0.0
         (metric (scrape t) "pnrule_router_requests_total{endpoint=\"other\"}"))
 
+(* ------------------------------------------------------------------ *)
+(* Health probes write clean                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The router's probes and scrapes open conns with no write fault
+   point, so a daemon write fault armed in the router process cannot
+   keep a healthy backend out of rotation. The backend runs without
+   any fault schedule; with probe writes passing [serve.chunk_write]
+   it stayed [Starting] for seconds. *)
+let test_probes_write_clean () =
+  let clean_env ~index:_ =
+    Some
+      (Unix.environment () |> Array.to_list
+      |> List.filter (fun kv -> not (String.starts_with ~prefix:"PNRULE_FAULTS=" kv))
+      |> Array.of_list)
+  in
+  with_faults
+    (fun () -> F.arm "serve.chunk_write" F.Raise)
+    (fun () ->
+      with_router ~backends:1 ~backend_env:clean_env ~wait:false (fun t _ ->
+          wait_until ~timeout:2.0 "the backend healthy within 2 s" (fun () ->
+              Router.healthy_count t = 1)))
+
 let suite =
   [
     Alcotest.test_case "sharded e2e: bytes, merged metrics, rolling rollout"
@@ -728,4 +751,6 @@ let suite =
       test_reuse_never_leaks;
     Alcotest.test_case "a body no route reads is never a second request" `Quick
       test_bodies_no_route_reads;
+    Alcotest.test_case "health probes write past an armed write fault" `Quick
+      test_probes_write_clean;
   ]
