@@ -60,6 +60,20 @@ let make_emitter ?pool ?observe ~scratch ~scores ~(model : Saved.t) ~write () =
   let em_header () =
     write (if scores then "prediction,score\n" else "prediction\n")
   in
+  (* A score takes few distinct values and runs of rows share one, so
+     a score is formatted only when its bits differ from the previous
+     row's: equal IEEE values with equal signs, and never a NaN. Equal
+     bits print equal bytes, so the text is Printf's. *)
+  let last_score = [| Float.nan |] in
+  let last_text = ref "" in
+  let score_text scores i =
+    let v = scores.(i) and last = last_score.(0) in
+    if not (v = last && Float.sign_bit v = Float.sign_bit last) then begin
+      last_score.(0) <- v;
+      last_text := Printf.sprintf "%.6g" v
+    end;
+    !last_text
+  in
   let em_emit ~n ~columns ~actuals =
     (* The serving dataset's labels and unit weights, like everything
        else a chunk needs, live in the scratch: filled, never assumed.
@@ -89,7 +103,7 @@ let make_emitter ?pool ?observe ~scratch ~scores ~(model : Saved.t) ~write () =
       (match score_v with
       | Some s ->
         Buffer.add_char outbuf ',';
-        Buffer.add_string outbuf (Printf.sprintf "%.6g" s.(i))
+        Buffer.add_string outbuf (score_text s i)
       | None -> ());
       Buffer.add_char outbuf '\n';
       incr rows_out;
@@ -196,28 +210,33 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
       Pn_data.Rows.clear rows
     end
   in
-  let data_row ~line cells =
-    if Array.length cells <> !n_header then
+  (* A data row's cells are read from the decoder's row buffer: a
+     numeric cell parses in place, and only a dictionary lookup or an
+     error message makes the cell's string. *)
+  let data_row ~line row =
+    let width = Pn_data.Stream.fields row in
+    if width <> !n_header then
       Pn_data.Rows.reject rows ~line
-        (Printf.sprintf "row has %d fields, header has %d" (Array.length cells) !n_header);
+        (Printf.sprintf "row has %d fields, header has %d" width !n_header);
     let k = Pn_data.Rows.row rows in
     let columns = Pn_data.Rows.columns rows in
+    let text = Pn_data.Stream.text row in
     for a = 0 to n_attrs - 1 do
-      let cell = String.trim cells.(!mapping.(a)) in
-      if Pn_data.Rows.blank cell then Pn_data.Rows.missing rows ~line a
+      let j = !mapping.(a) in
+      let lo = Pn_data.Stream.trimmed_start row j and hi = Pn_data.Stream.trimmed_end row j in
+      if Pn_data.Rows.blank_slice text lo hi then Pn_data.Rows.missing rows ~line a
       else
         match columns.(a) with
-        | Pn_data.Dataset.Num col -> (
-          match Pn_data.Decimal.parse cell with
-          | Some v -> col.(k) <- v
-          | None ->
+        | Pn_data.Dataset.Num col ->
+          if not (Pn_data.Decimal.parse_slice text lo hi col k) then
             Pn_data.Rows.reject rows ~line
-              (Printf.sprintf "non-numeric cell %S in column %S" cell
-                 attrs.(a).Pn_data.Attribute.name))
+              (Printf.sprintf "non-numeric cell %S in column %S"
+                 (Bytes.sub_string text lo (hi - lo)) attrs.(a).Pn_data.Attribute.name)
         | Pn_data.Dataset.Cat col -> (
-          match Hashtbl.find_opt (Option.get cat_tables.(a)) cell with
-          | Some code -> col.(k) <- code
-          | None -> Pn_data.Rows.outside rows ~line a cell)
+          let cell = Bytes.sub_string text lo (hi - lo) in
+          match Hashtbl.find (Option.get cat_tables.(a)) cell with
+          | code -> col.(k) <- code
+          | exception Not_found -> Pn_data.Rows.outside rows ~line a cell)
     done;
     (* Labels are metrics-only: unknown or missing labels never fail
        the feed. *)
@@ -225,28 +244,28 @@ let predict_stream ?(policy = Pn_data.Ingest_report.Strict) ?(chunk_size = 8192)
       (match !class_idx with
       | None -> -1
       | Some j -> (
-        let cell = String.trim cells.(j) in
-        if Pn_data.Rows.blank cell then -1
+        let lo = Pn_data.Stream.trimmed_start row j and hi = Pn_data.Stream.trimmed_end row j in
+        if Pn_data.Rows.blank_slice text lo hi then -1
         else
-          match Hashtbl.find_opt class_table cell with
-          | Some code -> code
-          | None ->
+          match Hashtbl.find class_table (Bytes.sub_string text lo (hi - lo)) with
+          | code -> code
+          | exception Not_found ->
             incr unknown_labels;
             -1));
     Pn_data.Rows.keep rows;
     if Pn_data.Rows.length rows = chunk_size then flush_chunk ()
   in
-  Pn_data.Stream.fold_csv source ~init:() ~f:(fun () ~line result ->
+  Pn_data.Stream.fold_rows source ~init:() ~f:(fun () ~line result ->
       if !n_header = 0 then
         match result with
         | Error msg -> fail "header: %s" msg
-        | Ok names -> resolve_header names
+        | Ok row -> resolve_header (Pn_data.Stream.strings row)
       else begin
         count_row ();
         try
           match result with
           | Error msg -> Pn_data.Rows.reject rows ~line msg
-          | Ok cells -> data_row ~line cells
+          | Ok row -> data_row ~line row
         with Pn_data.Rows.Skipped -> ()
       end);
   if !n_header = 0 then fail "empty input";

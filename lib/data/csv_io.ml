@@ -2,13 +2,20 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* A cell is the trimmed slice of its field in the decoder's row
+   buffer. *)
+let is_missing row j =
+  Rows.blank_slice (Stream.text row) (Stream.trimmed_start row j) (Stream.trimmed_end row j)
+
+(* Parses cell [j] into [cells.(k)], reporting whether it is a number. *)
+let parse_cell row j cells k =
+  Decimal.parse_slice (Stream.text row) (Stream.trimmed_start row j) (Stream.trimmed_end row j)
+    cells k
+
 (* Numeric inference accepts only finite literals: columns of string IDs
    like "nan", "inf" or "infinity" (or overflowing literals such as
-   1e400) must stay categorical. *)
-let is_float s =
-  match Decimal.parse (String.trim s) with
-  | Some v -> Float.is_finite v
-  | None -> false
+   1e400) must stay categorical. [cell] is a one-cell store. *)
+let is_float row j cell = parse_cell row j cell 0 && Float.is_finite cell.(0)
 
 let resolve_class_col class_column names =
   match class_column with
@@ -18,39 +25,38 @@ let resolve_class_col class_column names =
     | Some i -> i
     | None -> fail "class column %S not found" name)
 
-let is_missing cell = Rows.blank (String.trim cell)
-
 (* One streaming pass: resolve the header, then hand every data row to
    the row function [start] makes from the header names and the class
    column's index. *)
 let stream_pass ?class_column source ~start =
   let row = ref None in
-  Stream.fold_csv source ~init:() ~f:(fun () ~line result ->
+  Stream.fold_rows source ~init:() ~f:(fun () ~line result ->
       match !row with
       | Some f -> f ~line result
       | None -> (
         match result with
         | Error msg -> fail "header: %s" msg
-        | Ok names -> row := Some (start names (resolve_class_col class_column names))));
+        | Ok header ->
+          let names = Stream.strings header in
+          row := Some (start names (resolve_class_col class_column names))));
   if Option.is_none !row then fail "empty input"
 
 (* A data row's structure and gaps, judged in file order before any cell
-   is stored. Returns the row's cells; raises [Rows.Skipped] for a row
-   the policy drops. *)
+   is stored. Returns the row; raises [Rows.Skipped] for a row the
+   policy drops. *)
 let decide rows ~names ~class_col ~line = function
   | Error msg -> Rows.reject rows ~line msg
-  | Ok cells when Array.length cells <> Array.length names ->
+  | Ok row when Stream.fields row <> Array.length names ->
     Rows.reject rows ~line
-      (Printf.sprintf "row has %d fields, header has %d" (Array.length cells)
+      (Printf.sprintf "row has %d fields, header has %d" (Stream.fields row)
          (Array.length names))
-  | Ok cells ->
-    Array.iteri
-      (fun j cell ->
-        if is_missing cell then
-          if j = class_col then Rows.no_label rows ~line
-          else Rows.missing rows ~line (if j < class_col then j else j - 1))
-      cells;
-    cells
+  | Ok row ->
+    for j = 0 to Stream.fields row - 1 do
+      if is_missing row j then
+        if j = class_col then Rows.no_label rows ~line
+        else Rows.missing rows ~line (if j < class_col then j else j - 1)
+    done;
+    row
 
 let intern table names_ref s =
   match Hashtbl.find_opt table s with
@@ -64,7 +70,7 @@ let intern table names_ref s =
 (* Two streaming passes over [with_source]: a scan that decides the rows
    and infers each column's kind from the kept ones, then the build pass
    that decides them again into exact-size stores. Neither pass retains
-   raw text beyond the decoder's refill buffer. *)
+   raw text beyond the decoder's refill and row buffers. *)
 let build ?class_column ~policy ~with_source () =
   let batch ~capacity attrs =
     Rows.create ~policy ~where:"line" ~error:(fun msg -> Parse_error msg) ~capacity
@@ -72,6 +78,7 @@ let build ?class_column ~policy ~with_source () =
   in
   (* Pass 1: schema scan. *)
   let schema = ref None in
+  let cell = [| 0.0 |] in
   with_source (fun source ->
       stream_pass ?class_column source ~start:(fun names class_col ->
           let data_cols =
@@ -84,12 +91,12 @@ let build ?class_column ~policy ~with_source () =
           fun ~line result ->
             match decide scan ~names ~class_col ~line result with
             | exception Rows.Skipped -> ()
-            | cells ->
+            | row ->
               Rows.keep scan;
-              Array.iteri
-                (fun j cell ->
-                  if not (is_missing cell || is_float cell) then numeric_ok.(j) <- false)
-                cells));
+              for j = 0 to Stream.fields row - 1 do
+                if numeric_ok.(j) && not (is_missing row j || is_float row j cell) then
+                  numeric_ok.(j) <- false
+              done));
   let names, data_cols, scan, numeric_ok = Option.get !schema in
   if Array.length names = 0 then fail "no columns";
   let n = Rows.length scan in
@@ -113,23 +120,21 @@ let build ?class_column ~policy ~with_source () =
       stream_pass ?class_column source ~start:(fun names class_col ~line result ->
           match decide rows ~names ~class_col ~line result with
           | exception Rows.Skipped -> ()
-          | cells ->
+          | row ->
             let k = Rows.row rows in
             (Rows.labels rows).(k) <-
-              intern class_table class_names (String.trim cells.(class_col));
+              intern class_table class_names (Stream.trimmed row class_col);
             Array.iteri
               (fun a j ->
-                let cell = String.trim cells.(j) in
-                if not (is_missing cell) then
+                if not (is_missing row j) then
                   match (Rows.columns rows).(a) with
-                  | Dataset.Num col -> (
+                  | Dataset.Num col ->
                     (* pass 1 found every kept cell of this column numeric *)
-                    match Decimal.parse cell with
-                    | Some v -> col.(k) <- v
-                    | None -> fail "non-numeric cell %S in column %S" cell names.(j))
+                    if not (parse_cell row j col k) then
+                      fail "non-numeric cell %S in column %S" (Stream.trimmed row j) names.(j)
                   | Dataset.Cat col ->
                     let table, vals = dictionaries.(a) in
-                    col.(k) <- intern table vals cell)
+                    col.(k) <- intern table vals (Stream.trimmed row j))
               data_cols;
             Rows.keep rows));
   let ds = Rows.dataset rows ~attrs:(attrs ()) ~classes:(Array.of_list (List.rev !class_names)) in

@@ -1,6 +1,7 @@
 exception Skipped
 
-let blank cell = cell = "" || cell = "?"
+let blank_slice text lo hi = lo = hi || (hi = lo + 1 && Bytes.get text lo = '?')
+let blank cell = blank_slice (Bytes.unsafe_of_string cell) 0 (String.length cell)
 
 type mode = Load | Serve of Pn_util.Scratch.t
 

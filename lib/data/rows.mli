@@ -34,6 +34,12 @@
     every text decoder under every policy. *)
 val blank : string -> bool
 
+(** [blank_slice text lo hi] is [blank] of the trimmed cell that is the
+    bytes of [text] from [lo] to [hi] (exclusive), without making the
+    string ({!Stream.trimmed_start} and {!Stream.trimmed_end} give such
+    bounds). *)
+val blank_slice : bytes -> int -> int -> bool
+
 (** Raised by the decision functions when the policy drops the row
     being decoded; the row is already counted. *)
 exception Skipped

@@ -120,33 +120,133 @@ let next src =
 (* CSV state machine                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* One row's fields, back to back in [text]: field [k] is the bytes
+   from [ends.(k - 1)] (0 for the first) to [ends.(k)]. Both arrays are
+   reused from row to row and grow by doubling. *)
+type row = {
+  mutable text : bytes;
+  mutable len : int;
+  mutable ends : int array;
+  mutable fields : int;
+}
+
+let fields r = r.fields
+let text r = r.text
+
+let check r k = if k < 0 || k >= r.fields then invalid_arg "Stream.field"
+let field_start r k = if k = 0 then 0 else Array.unsafe_get r.ends (k - 1)
+let field_end r k = Array.unsafe_get r.ends k
+
+let field r k =
+  check r k;
+  let lo = field_start r k in
+  Bytes.sub_string r.text lo (field_end r k - lo)
+
+let strings r = Array.init r.fields (field r)
+
+(* What [String.trim] removes. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* An all-space field trims to the empty slice at its start, so the two
+   bounds never cross. *)
+let trimmed_start r k =
+  check r k;
+  let lo = field_start r k and hi = field_end r k in
+  let i = ref lo in
+  while !i < hi && is_space (Bytes.unsafe_get r.text !i) do
+    incr i
+  done;
+  if !i = hi then lo else !i
+
+let trimmed_end r k =
+  check r k;
+  let lo = field_start r k in
+  let i = ref (field_end r k) in
+  while !i > lo && is_space (Bytes.unsafe_get r.text (!i - 1)) do
+    decr i
+  done;
+  !i
+
+let trimmed r k =
+  let lo = trimmed_start r k in
+  Bytes.sub_string r.text lo (trimmed_end r k - lo)
+
+let reserve r n =
+  if r.len + n > Bytes.length r.text then begin
+    let text = Bytes.create (max (2 * Bytes.length r.text) (r.len + n)) in
+    Bytes.blit r.text 0 text 0 r.len;
+    r.text <- text
+  end
+
+let add_char r c =
+  reserve r 1;
+  Bytes.unsafe_set r.text r.len c;
+  r.len <- r.len + 1
+
+let push_field r =
+  if r.fields = Array.length r.ends then begin
+    let ends = Array.make (2 * r.fields) 0 in
+    Array.blit r.ends 0 ends 0 r.fields;
+    r.ends <- ends
+  end;
+  Array.unsafe_set r.ends r.fields r.len;
+  r.fields <- r.fields + 1
+
+(* The bytes that end a run of ordinary ones: in an unquoted field the
+   separators, the quote and CR; in a quoted field the quote and the
+   newline, whose line the state function counts. *)
+let stops chars =
+  String.init 256 (fun i -> if String.contains chars (Char.chr i) then '\001' else '\000')
+
+let unquoted_stops = stops ",\n\r\""
+let quoted_stops = stops "\"\n"
+let ordinary stops c = String.unsafe_get stops (Char.code c) = '\000'
+
+(* Copies the run of ordinary bytes at the read position into the row
+   with one blit. The byte that ends the run, or the next refill, is
+   left to [next]. *)
+let take_run src r stops =
+  let buf = src.buf and len = src.len in
+  let i = ref src.pos in
+  while !i < len && ordinary stops (Bytes.unsafe_get buf !i) do
+    incr i
+  done;
+  let n = !i - src.pos in
+  if n > 0 then begin
+    reserve r n;
+    Bytes.blit buf src.pos r.text r.len n;
+    r.len <- r.len + n;
+    src.pos <- !i
+  end
+
 (* Each state reads one byte, handles [eof] first, then matches on the
-   byte as a character ([Char.unsafe_chr] is the identity on 0..255). *)
-let fold_csv src ~init ~f =
-  let field = Buffer.create 64 in
-  let fields = ref [] in
+   byte as a character ([Char.unsafe_chr] is the identity on 0..255).
+   The two field states first take the run of ordinary bytes ahead. *)
+let fold_rows src ~init ~f =
+  let row = { text = Bytes.create 256; len = 0; ends = Array.make 16 0; fields = 0 } in
+  let ok = Ok row in
   (* [line] counts physical lines consumed so far; [row_line] is where
      the row being decoded started. *)
   let line = ref 1 in
   let row_line = ref 1 in
   let row_quoted = ref false in
   let acc = ref init in
-  let push_field () =
-    fields := Buffer.contents field :: !fields;
-    Buffer.clear field
-  in
   let reset_row () =
-    Buffer.clear field;
-    fields := [];
+    row.len <- 0;
+    row.fields <- 0;
     row_quoted := false;
     row_line := !line
   in
   let emit_row () =
-    let row = Array.of_list (List.rev (Buffer.contents field :: !fields)) in
+    push_field row;
     (* Whitespace-only unquoted rows are the blank lines the line-based
        loader used to drop. *)
-    if not (Array.length row = 1 && (not !row_quoted) && String.trim row.(0) = "")
-    then acc := f !acc ~line:!row_line (Ok row);
+    let blank =
+      row.fields = 1
+      && (not !row_quoted)
+      && trimmed_start row 0 = trimmed_end row 0
+    in
+    if not blank then acc := f !acc ~line:!row_line ok;
     reset_row ()
   in
   let emit_error msg = acc := f !acc ~line:!row_line (Error msg) in
@@ -163,33 +263,39 @@ let fold_csv src ~init ~f =
     k ()
   in
   let rec field_start () =
-    let b = next src in
-    if b = eof then begin
-      if !fields <> [] || Buffer.length field > 0 || !row_quoted then emit_row ()
-    end
+    (* A field that starts with an ordinary byte goes straight to the
+       run scan, as it would after reading that byte. *)
+    if src.pos < src.len && ordinary unquoted_stops (Bytes.unsafe_get src.buf src.pos) then
+      unquoted ()
     else
-      match Char.unsafe_chr b with
-      | ',' ->
-        push_field ();
-        field_start ()
-      | '"' ->
-        row_quoted := true;
-        quoted ()
-      | '\n' ->
-        incr line;
-        emit_row ();
-        field_start ()
-      | '\r' -> cr_unquoted ()
-      | c ->
-        Buffer.add_char field c;
-        unquoted ()
+      let b = next src in
+      if b = eof then begin
+        if row.fields > 0 || row.len > 0 || !row_quoted then emit_row ()
+      end
+      else
+        match Char.unsafe_chr b with
+        | ',' ->
+          push_field row;
+          field_start ()
+        | '"' ->
+          row_quoted := true;
+          quoted ()
+        | '\n' ->
+          incr line;
+          emit_row ();
+          field_start ()
+        | '\r' -> cr_unquoted ()
+        | c ->
+          add_char row c;
+          unquoted ()
   and unquoted () =
+    take_run src row unquoted_stops;
     let b = next src in
     if b = eof then emit_row ()
     else
       match Char.unsafe_chr b with
       | ',' ->
-        push_field ();
+        push_field row;
         field_start ()
       | '"' -> fail_row "'\"' inside an unquoted field" field_start
       | '\n' ->
@@ -198,7 +304,7 @@ let fold_csv src ~init ~f =
         field_start ()
       | '\r' -> cr_unquoted ()
       | c ->
-        Buffer.add_char field c;
+        add_char row c;
         unquoted ()
   (* Saw '\r' outside quotes: strip it when it closes the row, keep it as
      a literal character otherwise. *)
@@ -212,20 +318,21 @@ let fold_csv src ~init ~f =
         emit_row ();
         field_start ()
       | ',' ->
-        Buffer.add_char field '\r';
-        push_field ();
+        add_char row '\r';
+        push_field row;
         field_start ()
       | '"' ->
-        Buffer.add_char field '\r';
+        add_char row '\r';
         fail_row "'\"' inside an unquoted field" field_start
       | '\r' ->
-        Buffer.add_char field '\r';
+        add_char row '\r';
         cr_unquoted ()
       | c ->
-        Buffer.add_char field '\r';
-        Buffer.add_char field c;
+        add_char row '\r';
+        add_char row c;
         unquoted ()
   and quoted () =
+    take_run src row quoted_stops;
     let b = next src in
     if b = eof then fail_row "unterminated quoted field" (fun () -> ())
     else
@@ -233,10 +340,10 @@ let fold_csv src ~init ~f =
       | '"' -> quote_seen ()
       | '\n' ->
         incr line;
-        Buffer.add_char field '\n';
+        add_char row '\n';
         quoted ()
       | c ->
-        Buffer.add_char field c;
+        add_char row c;
         quoted ()
   (* Saw '"' inside a quoted field: either an escape ("") or the close. *)
   and quote_seen () =
@@ -245,10 +352,10 @@ let fold_csv src ~init ~f =
     else
       match Char.unsafe_chr b with
       | '"' ->
-        Buffer.add_char field '"';
+        add_char row '"';
         quoted ()
       | ',' ->
-        push_field ();
+        push_field row;
         field_start ()
       | '\n' ->
         incr line;
@@ -271,6 +378,11 @@ let fold_csv src ~init ~f =
   in
   field_start ();
   !acc
+
+let fold_csv src ~init ~f =
+  fold_rows src ~init ~f:(fun acc ~line -> function
+    | Ok row -> f acc ~line (Ok (strings row))
+    | Error msg -> f acc ~line (Error msg))
 
 (* ------------------------------------------------------------------ *)
 (* Line streaming (ARFF)                                                *)

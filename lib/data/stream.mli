@@ -1,9 +1,10 @@
 (** Constant-memory streaming decoders for the ingestion layer.
 
-    {!fold_csv} runs an RFC-4180 CSV state machine over a byte source,
+    {!fold_rows} runs an RFC-4180 CSV state machine over a byte source,
     yielding one decoded record (or one row-level error) at a time — the
-    raw text is never retained beyond a fixed refill buffer, so ingest
-    memory is bounded by the longest single row, not the file.
+    raw text is never retained beyond a fixed refill buffer and one
+    reused row buffer, so ingest memory is bounded by the longest single
+    row, not the file.
 
     Decoding rules:
     - fields are separated by [','], rows by ['\n']; a ['\r'] immediately
@@ -54,10 +55,49 @@ val read_into : source -> bytes -> int -> int -> int
     exhausting it propagates the error. *)
 val retries : source -> int
 
-(** [fold_csv src ~init ~f] folds [f] over every row of [src]. [line] is
+(** {1 CSV rows}
+
+    One decoded row, as the bytes of its fields in a buffer the fold
+    reuses: valid only during the callback that receives it, because the
+    next row overwrites it. The run of ordinary bytes between two special
+    ones ([,] [\n] [\r] ["], or ["] [\n] inside quotes) reaches it
+    with one blit, so reading a field's number or testing it for a gap
+    needs no string. *)
+type row
+
+(** Fields in the row. *)
+val fields : row -> int
+
+(** [text r] holds every field of [r]; the slices below index into it.
+    Do not write to it. *)
+val text : row -> bytes
+
+(** [strings r] is every field of [r] as a string, untrimmed. *)
+val strings : row -> string array
+
+(** [trimmed_start r k] and [trimmed_end r k] bound field [k] of [text r]
+    with what [String.trim] removes ([' '], ['\012'], ['\n'], ['\r'],
+    ['\t']) taken off both ends. An all-space field is the empty slice
+    at its start, so [trimmed_start r k <= trimmed_end r k]. Raise
+    [Invalid_argument] unless [0 <= k < fields r]. *)
+val trimmed_start : row -> int -> int
+
+val trimmed_end : row -> int -> int
+
+(** [trimmed r k] is [String.trim (strings r).(k)], made from the
+    slice alone. *)
+val trimmed : row -> int -> string
+
+(** [fold_rows src ~init ~f] folds [f] over every row of [src]. [line] is
     the 1-based physical line on which the row started; the payload is
-    the decoded fields, or a description of why the row could not be
-    decoded. A source can only be folded once. *)
+    the row, or a description of why it could not be decoded. [f] must
+    not keep the row past its return. A source can only be folded
+    once. *)
+val fold_rows :
+  source -> init:'a -> f:('a -> line:int -> (row, string) result -> 'a) -> 'a
+
+(** [fold_csv src ~init ~f] is {!fold_rows} with each row's fields
+    copied into a fresh string array. *)
 val fold_csv :
   source -> init:'a -> f:('a -> line:int -> (string array, string) result -> 'a) -> 'a
 

@@ -739,9 +739,6 @@ let route t ~index ~scratch ~keep conn (req : Http.request) =
       (Telemetry.Predict, 503, `Close)
     end
     else with_ep Telemetry.Predict (predict t conn req ~index ~scratch ~keep)
-  | _, "/predict" ->
-    Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Predict, 405, `Close)
   | "POST", "/feedback" ->
     if Listener.draining t.listener then begin
       note_shed t `Draining;
@@ -751,9 +748,6 @@ let route t ~index ~scratch ~keep conn (req : Http.request) =
       (Telemetry.Feedback, 503, `Close)
     end
     else with_ep Telemetry.Feedback (feedback t conn req ~index ~scratch ~keep)
-  | _, "/feedback" ->
-    Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Feedback, 405, `Close)
   | "POST", "/admin/rollout" -> with_ep Telemetry.Admin (admin t conn req ~back:false ~keep)
   | "POST", "/admin/rollback" -> with_ep Telemetry.Admin (admin t conn req ~back:true ~keep)
   | "GET", "/admin/drift" -> (
@@ -768,12 +762,6 @@ let route t ~index ~scratch ~keep conn (req : Http.request) =
       Http.respond conn ~status:200 ~keep_alive:keep
         ~content_type:"application/json; charset=utf-8" ~body:(drift_json r) ();
       (Telemetry.Admin, 200, `Keep))
-  | _, ("/admin/rollout" | "/admin/rollback") ->
-    Http.respond conn ~status:405 ~body:"use POST\n" ();
-    (Telemetry.Admin, 405, `Close)
-  | _, "/admin/drift" ->
-    Http.respond conn ~status:405 ~body:"use GET\n" ();
-    (Telemetry.Admin, 405, `Close)
   | "GET", "/healthz" ->
     if Listener.draining t.listener then begin
       Http.respond conn ~status:503
@@ -794,9 +782,13 @@ let route t ~index ~scratch ~keep conn (req : Http.request) =
       ~content_type:"text/plain; version=0.0.4; charset=utf-8"
       ~body:(metrics_text t) ();
     (Telemetry.Metrics, 200, `Keep)
-  | _, ("/healthz" | "/model" | "/metrics") ->
+  (* Refusals count under the path's endpoint, as on the router. *)
+  | _, (("/predict" | "/feedback" | "/admin/rollout" | "/admin/rollback") as path) ->
+    Http.respond conn ~status:405 ~body:"use POST\n" ();
+    (Telemetry.endpoint_of_path path, 405, `Close)
+  | _, (("/admin/drift" | "/healthz" | "/model" | "/metrics") as path) ->
     Http.respond conn ~status:405 ~body:"use GET\n" ();
-    (Telemetry.Other, 405, `Close)
+    (Telemetry.endpoint_of_path path, 405, `Close)
   | _, path ->
     Http.respond conn ~status:404 ~body:(Printf.sprintf "no route %s\n" path) ();
-    (Telemetry.Other, 404, `Close)
+    (Telemetry.endpoint_of_path path, 404, `Close)

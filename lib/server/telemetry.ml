@@ -29,6 +29,15 @@ let endpoint_label = function
   | Feedback -> "feedback"
   | Other -> "other"
 
+let endpoint_of_path = function
+  | "/predict" -> Predict
+  | "/healthz" -> Healthz
+  | "/model" -> Model_info
+  | "/metrics" -> Metrics
+  | "/feedback" -> Feedback
+  | path when String.starts_with ~prefix:"/admin/" path -> Admin
+  | _ -> Other
+
 let buckets =
   [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5 |]
 

@@ -23,6 +23,13 @@ type endpoint =
   | Feedback  (** the /feedback labeled-stream endpoint *)
   | Other  (** unknown paths, unparsable requests *)
 
+(** [endpoint_of_path path] is the endpoint a request for [path] counts
+    under: its route's, any path under [/admin/] [Admin], and an unknown
+    path [Other]. Both tiers label a refused request (a wrong method, an
+    unknown path) by it, so a refusal counts alike on the daemon and the
+    router. *)
+val endpoint_of_path : string -> endpoint
+
 (** [create ~slots] preallocates [slots] counter blocks (one per worker
     domain). *)
 val create : slots:int -> t

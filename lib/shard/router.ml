@@ -559,21 +559,24 @@ let proxy t conn req ep ~keep ~scratch =
              msg))
 
 (* The router's endpoints; the listener runs the rest of each request.
-   Every path answers its one method, anything else with a 405 counted
-   under the path's endpoint. *)
+   Every path answers its one method, anything else with a 405; a
+   refusal counts under the path's endpoint, as on the daemon. *)
 let route t ~index:_ ~scratch ~keep conn (req : Http.request) =
   let answer ?(content_type = "text/plain; charset=utf-8") ?headers ep status body =
     Http.respond conn ~content_type ?headers ~keep_alive:keep ~status ~body ();
     (ep, status, `Keep)
   in
   let json = "application/json; charset=utf-8" in
-  let only meth ep k =
-    if req.Http.meth = meth then k () else answer ep 405 ("use " ^ meth ^ "\n")
+  let refused status body =
+    answer (Telemetry.endpoint_of_path req.Http.path) status body
+  in
+  let only meth k =
+    if req.Http.meth = meth then k () else refused 405 ("use " ^ meth ^ "\n")
   in
   let retry = [ ("retry-after", "1") ] in
   match req.Http.path with
   | "/healthz" ->
-    only "GET" Telemetry.Healthz (fun () ->
+    only "GET" (fun () ->
         if Listener.draining t.listener then
           answer ~headers:retry Telemetry.Healthz 503 "draining\n"
         else
@@ -583,16 +586,13 @@ let route t ~index:_ ~scratch ~keep conn (req : Http.request) =
               (Printf.sprintf "ok %d/%d backends healthy\n" healthy
                  (Array.length t.backends))
           else answer ~headers:retry Telemetry.Healthz 503 "no healthy backends\n")
-  | "/metrics" ->
-    only "GET" Telemetry.Metrics (fun () -> answer Telemetry.Metrics 200 (metrics_body t))
+  | "/metrics" -> only "GET" (fun () -> answer Telemetry.Metrics 200 (metrics_body t))
   | "/model" ->
-    only "GET" Telemetry.Model_info (fun () ->
-        answer ~content_type:json Telemetry.Model_info 200 (model_body t))
+    only "GET" (fun () -> answer ~content_type:json Telemetry.Model_info 200 (model_body t))
   | "/admin/backends" ->
-    only "GET" Telemetry.Admin (fun () ->
-        answer ~content_type:json Telemetry.Admin 200 (backends_body t))
+    only "GET" (fun () -> answer ~content_type:json Telemetry.Admin 200 (backends_body t))
   | ("/admin/rollout" | "/admin/rollback") as path ->
-    only "POST" Telemetry.Admin (fun () ->
+    only "POST" (fun () ->
         if Listener.draining t.listener then
           answer ~headers:retry Telemetry.Admin 503 "draining\n"
         else
@@ -602,18 +602,9 @@ let route t ~index:_ ~scratch ~keep conn (req : Http.request) =
           in
           let content_type = if status = 200 then Some json else None in
           answer ?content_type ~headers Telemetry.Admin status body)
-  | "/predict" ->
-    only "POST" Telemetry.Predict (fun () ->
-        proxy t conn req Telemetry.Predict ~keep ~scratch)
-  | "/feedback" ->
-    only "POST" Telemetry.Feedback (fun () ->
-        proxy t conn req Telemetry.Feedback ~keep ~scratch)
-  | path ->
-    let ep =
-      if String.starts_with ~prefix:"/admin/" path then Telemetry.Admin
-      else Telemetry.Other
-    in
-    answer ep 404 "not found\n"
+  | "/predict" -> only "POST" (fun () -> proxy t conn req Telemetry.Predict ~keep ~scratch)
+  | "/feedback" -> only "POST" (fun () -> proxy t conn req Telemetry.Feedback ~keep ~scratch)
+  | _ -> refused 404 "not found\n"
 
 (* ------------------------------------------------------------------ *)
 (* Backend supervision                                                  *)

@@ -26,10 +26,11 @@ let serve ?policy ?chunk_size ?max_rows body =
     ~model:(Lazy.force model) ~source:(Pn_data.Stream.of_string body) ~write:ignore ()
 
 (* A CSV request allocates by its rows, not by [chunk_size]: the column
-   stores start small and double as rows arrive, and the byte reader
-   returns ints. These requests measure about 120 words per row and
-   3.2K words; with stores sized at 8192 rows per attribute they took
-   about 310 words per row and 34.5K words. *)
+   stores start small and double as rows arrive, and the tokenizer hands
+   rows over as slices. These requests measure about 25 words per row
+   and 2.0K words (84 per row when every cell became a string); with
+   stores sized at 8192 rows per attribute they took about 310 words
+   per row and 34.5K words. *)
 let test_allocates_by_rows () =
   List.iter
     (fun (rows, bound) ->
@@ -145,6 +146,49 @@ let test_warm_csv_request () =
     true
     (a.major <= major_words_bound)
 
+(* A warm 256-row CSV request, label column included, fed as the daemon
+   feeds one: the tokenizer hands each row over as slices of one reused
+   buffer, numeric cells parse straight into their column, and only the
+   label's lookup makes a string. It measures about 1.7K words (6.6 per
+   row); when every cell became a string, two list cells and an array
+   slot it took 16.8K. *)
+let test_warm_csv_words () =
+  let model = Lazy.force model in
+  let body = csv_body ~seed:89 ~rows:256 in
+  let scratch = Pn_util.Scratch.create () in
+  let serve () =
+    Pnrule.Serve.predict_stream ~pool:Pn_util.Pool.sequential ~scratch ~model
+      ~source:(body_source ~scratch body) ~write:ignore ()
+  in
+  ignore (serve ());
+  let words = Test_ensemble.allocated_words serve in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm 256-row CSV request: %.0f words <= 4000" words)
+    true (words <= 4_000.0)
+
+(* Scores cost little more than predictions: a score is formatted only
+   when it differs from the previous row's, and the benchmark body's
+   boosted scores are the bias on all but a few dozen rows. With scores
+   the warm 2048-row .pnc request measures about 7.7K words against
+   4.5K without; formatting every row took 125.6K. *)
+let test_scores_formatted_once () =
+  let model = Lazy.force boosted in
+  let body = pnc_body ~seed:84 ~rows:2048 () in
+  let scratch = Pn_util.Scratch.create () in
+  let words scores =
+    let serve () =
+      Pnrule.Serve.predict_columnar_stream ~pool:Pn_util.Pool.sequential ~scratch ~scores
+        ~model ~source:(body_source ~scratch body) ~write:ignore ()
+    in
+    ignore (serve ());
+    Test_ensemble.allocated_words serve
+  in
+  let plain = words false and scored = words true in
+  Alcotest.(check bool)
+    (Printf.sprintf "with scores %.0f words <= 2 x %.0f without" scored plain)
+    true
+    (scored <= 2.0 *. plain)
+
 (* The same worker across row counts: warmed by its largest request, it
    serves smaller ones from the same buffers, so a 2047-, a 1000- and a
    2048-row request in turn stay within the bound each, where buffers
@@ -225,7 +269,7 @@ let test_wide_body_retention () =
    report or raises one of the two typed errors the daemon maps to
    status codes, under every policy and at chunk sizes that put chunk
    boundaries anywhere in the body. *)
-let test_arbitrary_bodies =
+let arbitrary_body_gen =
   let header_gen =
     QCheck.Gen.oneofl
       [
@@ -236,10 +280,11 @@ let test_arbitrary_bodies =
       ]
   in
   let byte_gen = QCheck.Gen.oneofl [ 'a'; '1'; ','; '"'; '\n'; '\r'; ' '; '?'; 'N'; 'C' ] in
+  QCheck.Gen.(map2 ( ^ ) header_gen (string_size ~gen:byte_gen (0 -- 200)))
+
+let test_arbitrary_bodies =
   QCheck.Test.make ~count:2_000 ~name:"arbitrary CSV bodies: a report or a typed error"
-    QCheck.(
-      make ~print:(Printf.sprintf "%S")
-        Gen.(map2 ( ^ ) header_gen (string_size ~gen:byte_gen (0 -- 200))))
+    QCheck.(make ~print:(Printf.sprintf "%S") arbitrary_body_gen)
     (fun body ->
       List.for_all
         (fun policy ->
@@ -251,6 +296,49 @@ let test_arbitrary_bodies =
             [ 1; 3; 8192 ])
         [ R.Strict; R.Skip; R.Impute ])
 
+(* The serving loop reads each row from the tokenizer's row buffer,
+   never from the refill buffer a later refill overwrites: a body fed in
+   refills of 1 to 24 bytes answers with the bytes, the report and the
+   error of the same body read from a string, under every policy. The
+   bodies are the arbitrary ones above and valid benchmark rows. *)
+let test_refills_serve_alike =
+  let refilled ~buf_size body =
+    let pos = ref 0 in
+    Pn_data.Stream.of_refill ~buf:(Bytes.create buf_size) (fun buf ->
+        let n = min (Bytes.length buf) (String.length body - !pos) in
+        Bytes.blit_string body !pos buf 0 n;
+        pos := !pos + n;
+        n)
+  in
+  let answer ~policy ~chunk_size source =
+    let out = Buffer.create 256 in
+    match
+      Pnrule.Serve.predict_stream ~policy ~chunk_size ~max_rows:50 ~pool:Pn_util.Pool.sequential
+        ~model:(Lazy.force model) ~source ~write:(Buffer.add_string out) ()
+    with
+    | report -> Ok (Buffer.contents out, { report with Pnrule.Serve.seconds = 0.0 })
+    | exception Pnrule.Serve.Error msg -> Error ("error: " ^ msg)
+    | exception Pnrule.Serve.Limit msg -> Error ("limit: " ^ msg)
+  in
+  let valid_gen =
+    QCheck.Gen.(map2 (fun seed rows -> csv_body ~seed ~rows) (1 -- 10_000) (0 -- 40))
+  in
+  QCheck.Test.make ~count:300 ~name:"CSV bodies serve alike through refills of 1-24 bytes"
+    QCheck.(
+      make
+        ~print:(fun (body, buf_size, chunk_size) ->
+          Printf.sprintf "%S, %d-byte refills, chunk %d" body buf_size chunk_size)
+        Gen.(
+          triple
+            (frequency [ (2, arbitrary_body_gen); (1, valid_gen) ])
+            (1 -- 24) (oneofl [ 1; 3; 8192 ])))
+    (fun (body, buf_size, chunk_size) ->
+      List.for_all
+        (fun policy ->
+          answer ~policy ~chunk_size (Pn_data.Stream.of_string body)
+          = answer ~policy ~chunk_size (refilled ~buf_size body))
+        [ R.Strict; R.Skip; R.Impute ])
+
 let suite =
   [
     Alcotest.test_case "CSV requests allocate by rows" `Quick test_allocates_by_rows;
@@ -260,9 +348,13 @@ let suite =
       test_string_source_in_place;
     Alcotest.test_case "a warmed worker's CSV request stays off the major heap" `Quick
       test_warm_csv_request;
+    Alcotest.test_case "a warm 256-row CSV request allocates at most 4 000 words" `Quick
+      test_warm_csv_words;
+    Alcotest.test_case "scores cost at most twice the words of predictions" `Quick
+      test_scores_formatted_once;
     Alcotest.test_case "a warmed worker stays off the major heap across row counts"
       `Quick test_warm_mixed_sizes;
     Alcotest.test_case "a wide body leaves at most the retention limit" `Quick
       test_wide_body_retention;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ test_arbitrary_bodies ]
+  @ List.map QCheck_alcotest.to_alcotest [ test_arbitrary_bodies; test_refills_serve_alike ]

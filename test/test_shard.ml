@@ -711,6 +711,43 @@ let test_bodies_no_route_reads () =
         (metric (scrape t) "pnrule_router_requests_total{endpoint=\"other\"}"))
 
 (* ------------------------------------------------------------------ *)
+(* A refusal counts alike on both tiers                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A 405 on /healthz and a 404 under /admin/ count under the path's
+   endpoint, healthz and admin, on the daemon as on the router. *)
+let test_refusal_labels () =
+  let refusals ~prefix port =
+    let scrape () =
+      let s, _, body = Test_server.one_shot port ~meth:"GET" ~path:"/metrics" () in
+      Alcotest.(check int) "metrics scrape status" 200 s;
+      body
+    in
+    let errors text ep =
+      metric text (Printf.sprintf "%srequest_errors_total{endpoint=\"%s\"}" prefix ep)
+    in
+    let before = scrape () in
+    let s, _, _ = Test_server.one_shot port ~meth:"PUT" ~path:"/healthz" () in
+    Alcotest.(check int) (prefix ^ ": PUT /healthz") 405 s;
+    let s, _, _ = Test_server.one_shot port ~meth:"GET" ~path:"/admin/nope" () in
+    Alcotest.(check int) (prefix ^ ": GET /admin/nope") 404 s;
+    let after = scrape () in
+    List.map (fun ep -> (ep, errors after ep -. errors before ep)) [ "healthz"; "admin"; "other" ]
+  in
+  let expected = [ ("healthz", 1.0); ("admin", 1.0); ("other", 0.0) ] in
+  let counts = Alcotest.(list (pair string (float 0.0))) in
+  let model, _, _, _ = Lazy.force Test_server.fixture in
+  let srv = Test_server.boot ~model () in
+  Fun.protect
+    ~finally:(fun () -> Pn_server.Server.stop srv)
+    (fun () ->
+      Alcotest.check counts "daemon" expected
+        (refusals ~prefix:"pnrule_" (Pn_server.Server.port srv)));
+  with_router ~backends:1 (fun t _ ->
+      Alcotest.check counts "router" expected
+        (refusals ~prefix:"pnrule_router_" (Router.port t)))
+
+(* ------------------------------------------------------------------ *)
 (* Health probes write clean                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -753,4 +790,6 @@ let suite =
       test_bodies_no_route_reads;
     Alcotest.test_case "health probes write past an armed write fault" `Quick
       test_probes_write_clean;
+    Alcotest.test_case "a refused request counts under one endpoint on both tiers" `Quick
+      test_refusal_labels;
   ]

@@ -214,6 +214,32 @@ let qcheck_props =
             rows_of (chunked ~buf_size text) = csv
             && lines_of (chunked ~buf_size text) = physical)
           (List.init 24 (fun k -> k + 1)));
+    (* A row's slices agree with its strings: trimming takes off what
+       [String.trim] does, and the gap test on a slice is [Rows.blank]
+       of the trimmed string. *)
+    QCheck.Test.make ~count:300 ~name:"row slices trim and test blank like strings"
+      QCheck.(
+        make ~print:(Printf.sprintf "%S")
+          Gen.(
+            string_size
+              ~gen:(oneofl [ ' '; '\t'; '\012'; '\r'; '\n'; '?'; 'a'; ','; '"' ])
+              (0 -- 120)))
+      (fun text ->
+        S.fold_rows (S.of_string text) ~init:true ~f:(fun ok ~line:_ -> function
+          | Error _ -> ok
+          | Ok row ->
+            let b = S.text row in
+            ok
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun k cell ->
+                      let lo = S.trimmed_start row k and hi = S.trimmed_end row k in
+                      let t = String.trim cell in
+                      lo <= hi
+                      && Bytes.sub_string b lo (hi - lo) = t
+                      && S.trimmed row k = t
+                      && Pn_data.Rows.blank_slice b lo hi = Pn_data.Rows.blank t)
+                    (S.strings row))));
     QCheck.Test.make ~count:300 ~name:"quoted fields round-trip at any buffer size"
       QCheck.(
         make
